@@ -4,6 +4,15 @@ Ground-set points are ``0 .. n-1`` and subsets are n-bit masks, so a capacity
 is a dense table of ``2**n`` values indexed by mask.  The table representation
 keeps validation total and exact; it caps the ground set at 24 points.
 
+Every full-table pass is one strided lattice scan, ``_lattice_pairs``: for
+each point ``i`` the table is viewed as ``table.reshape(-1, 2, 1 << i)``, whose
+two middle slices pair every mask without ``i`` (``lo``) with the mask that
+adds ``i`` (``hi``).  This is the in-place layout of the fast zeta/Moebius
+transform (Kennes & Smets, UAI 1990; Grabisch, *Set Functions, Games and
+Capacities in Decision Making*, 2016): the possibility, additive and random
+builders write ``hi`` from ``lo`` in place, one point at a time, and
+``validate_table`` compares the two views.  No index arrays are built.
+
 Monotonicity is validated with the single-element increment scan: for every
 mask ``A`` and every point ``i`` outside ``A``, require
 ``table[A] <= table[A | {i}]``.  By transitivity along chains this is
@@ -35,6 +44,9 @@ from semint.errors import (
 MAX_POINTS = 24
 
 _WEIGHT_SUM_TOL = 1e-9
+
+# entries per chunk in _interp_monotone: each of its temporaries is 128 KiB, whatever the table size
+_INTERP_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True, slots=True)
@@ -95,12 +107,7 @@ def validate_table(space: FiniteSpace, values: Sequence[float] | np.ndarray) -> 
     single-element monotonicity), in deterministic order.  An empty list
     means the table is a valid capacity.
     """
-    table = np.asarray(values, dtype=np.float64)
-    if table.ndim != 1 or table.size != space.num_subsets:
-        raise DomainError(
-            f"capacity table for a {space.size}-point space needs {space.num_subsets} "
-            f"values, got shape {table.shape}"
-        )
+    table = _dense_table(space, values)
     violations: list[CapacityViolation] = []
 
     bad_range = np.where(~((table >= 0.0) & (table <= 1.0)))[0]
@@ -120,13 +127,11 @@ def validate_table(space: FiniteSpace, values: Sequence[float] | np.ndarray) -> 
             )
         )
 
-    idx = np.arange(space.num_subsets)
-    for i in range(space.size):
+    for i, lo, hi in _lattice_pairs(table, space.size):
         bit = 1 << i
-        without = idx[(idx & bit) == 0]
-        drop = table[without] - table[without | bit]
-        for a in without[drop > 0.0]:
-            a = int(a)
+        for k in np.flatnonzero(lo > hi):
+            block, offset = divmod(int(k), bit)
+            a = (block << (i + 1)) | offset
             violations.append(
                 CapacityViolation(
                     "not-monotone",
@@ -138,6 +143,31 @@ def validate_table(space: FiniteSpace, values: Sequence[float] | np.ndarray) -> 
     return violations
 
 
+def _dense_table(space: FiniteSpace, values: Sequence[float] | np.ndarray) -> np.ndarray:
+    """``values`` as a float64 array, which must be 1-d with one entry per subset."""
+    table = np.asarray(values, dtype=np.float64)
+    if table.ndim != 1 or table.size != space.num_subsets:
+        raise DomainError(
+            f"capacity table for a {space.size}-point space needs {space.num_subsets} "
+            f"values, got shape {table.shape}"
+        )
+    return table
+
+
+def _lattice_pairs(table: np.ndarray, points: int):
+    """Yield ``(i, lo, hi)`` for each point ``i``: views of ``table`` pairing mask A with A + {i}.
+
+    ``table.reshape(-1, 2, 1 << i)`` puts mask ``(block << (i+1)) | (half << i) | offset``
+    at ``[block, half, offset]``, so ``lo[block, offset]`` is a mask without ``i`` and
+    ``hi[block, offset]`` the same mask with ``i``.  Both are views of a contiguous
+    table: writing ``hi`` updates the table in place, and flat positions in ``lo``
+    run in increasing mask order.
+    """
+    for i in range(points):
+        pairs = table.reshape(-1, 2, 1 << i)
+        yield i, pairs[:, 0, :], pairs[:, 1, :]
+
+
 @dataclass(frozen=True, slots=True, eq=False)
 class Capacity:
     """A monotone set function with mu(empty) = 0 and mu(X) = 1, stored densely."""
@@ -146,7 +176,7 @@ class Capacity:
     table: np.ndarray
 
     def __post_init__(self) -> None:
-        table = np.asarray(self.table, dtype=np.float64)
+        table = _dense_table(self.space, self.table)
         table.setflags(write=False)
         object.__setattr__(self, "table", table)
 
@@ -185,16 +215,15 @@ class Capacity:
         w = np.asarray(weights, dtype=np.float64)
         if w.shape != (space.size,):
             raise DomainError(f"need {space.size} weights, got shape {w.shape}")
+        if not np.all(np.isfinite(w)):
+            raise DomainError("possibility weights must be finite numbers")
         if np.any(w < 0.0) or np.any(w > 1.0):
             raise DomainError("possibility weights must lie in [0,1]")
         if not np.any(w == 1.0):
             raise MaxNotOneError(f"max weight is {float(w.max())!r}, expected exactly 1")
         table = np.zeros(space.num_subsets)
-        idx = np.arange(space.num_subsets)
-        for i in range(space.size):
-            bit = 1 << i
-            has = (idx & bit) != 0
-            table[has] = np.maximum(table[idx[has] ^ bit], w[i])
+        for i, lo, hi in _lattice_pairs(table, space.size):
+            np.maximum(lo, w[i], out=hi)
         return cls(space, table)
 
     @classmethod
@@ -209,6 +238,8 @@ class Capacity:
         w = np.asarray(weights, dtype=np.float64)
         if w.shape != (space.size,):
             raise DomainError(f"need {space.size} weights, got shape {w.shape}")
+        if not np.all(np.isfinite(w)):
+            raise BadWeightsError("additive weights must be finite numbers")
         if np.any(w < 0.0):
             raise BadWeightsError("additive weights must be nonnegative")
         total = float(w.sum())
@@ -217,12 +248,9 @@ class Capacity:
         if abs(total - 1.0) > _WEIGHT_SUM_TOL:
             raise BadWeightsError(f"additive weights sum to {total!r}, expected 1 within 1e-9")
         table = np.zeros(space.num_subsets)
-        idx = np.arange(space.num_subsets)
-        for i in range(space.size):
-            bit = 1 << i
-            has = (idx & bit) != 0
-            table[has] = table[idx[has] ^ bit] + w[i]
-        table = table / table[-1]
+        for i, lo, hi in _lattice_pairs(table, space.size):
+            np.add(lo, w[i], out=hi)
+        table /= table[-1]
         table[0] = 0.0
         table[-1] = 1.0
         return cls(space, table)
@@ -256,16 +284,21 @@ def _interp_monotone(samples: np.ndarray, x: np.ndarray) -> np.ndarray:
 
     Clamping output into [samples[k], samples[k+1]] guarantees that ordered
     inputs map to ordered outputs despite rounding, and that inputs landing
-    on a sample reproduce it exactly.
+    on a sample reproduce it exactly.  ``x`` (1-d) is processed in chunks of
+    ``_INTERP_CHUNK`` entries, so the temporaries stay small whatever the table
+    size.
     """
     m = samples.size - 1
-    pos = x * m
-    k = np.minimum(pos.astype(np.int64), m - 1)
-    frac = pos - k
-    lo = samples[k]
-    hi = samples[k + 1]
-    out = np.clip(lo + (hi - lo) * frac, lo, hi)
-    return np.where(frac >= 1.0, hi, out)
+    out = np.empty(x.shape)
+    for start in range(0, x.size, _INTERP_CHUNK):
+        pos = x[start : start + _INTERP_CHUNK] * m
+        k = np.minimum(pos.astype(np.int64), m - 1)
+        frac = pos - k
+        lo = samples[k]
+        hi = samples[k + 1]
+        part = np.clip(lo + (hi - lo) * frac, lo, hi)
+        out[start : start + _INTERP_CHUNK] = np.where(frac >= 1.0, hi, part)
+    return out
 
 
 def random_capacity(space: FiniteSpace, rng: np.random.Generator) -> Capacity:
@@ -275,11 +308,8 @@ def random_capacity(space: FiniteSpace, rng: np.random.Generator) -> Capacity:
     subsets, so no rejection sampling is needed.
     """
     table = rng.random(space.num_subsets)
-    idx = np.arange(space.num_subsets)
-    for i in range(space.size):
-        bit = 1 << i
-        has = (idx & bit) != 0
-        table[has] = np.maximum(table[has], table[idx[has] ^ bit])
+    for _, lo, hi in _lattice_pairs(table, space.size):
+        np.maximum(hi, lo, out=hi)
     table[0] = 0.0
     table[-1] = 1.0
     return Capacity.from_table(space, table)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Sequence
 
@@ -107,11 +108,42 @@ def _write_csv(path: str, header: str, rows: Sequence[Sequence[str]]) -> None:
 # instance parsing
 
 
+_NON_FINITE = object()
+
+
 def _load_json(path: str):
+    """Parse an instance document; NaN and +-Infinity, which strict JSON lacks, are schema errors."""
+    constants: list[str] = []
+
+    def non_finite(name: str):
+        constants.append(name)
+        return _NON_FINITE
+
     if path == "-":
-        return json.load(sys.stdin)
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        doc = json.load(sys.stdin, parse_constant=non_finite)
+    else:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh, parse_constant=non_finite)
+    if constants:
+        raise SchemaError(f"non-finite number {constants[0]} is not valid JSON", _pointer_to(doc, _NON_FINITE))
+    return doc
+
+
+def _pointer_to(doc, target) -> str:
+    """JSON pointer of the first node (in document order) that is ``target``; "/" if there is none."""
+    stack = [(doc, "")]
+    while stack:
+        node, loc = stack.pop()
+        if node is target:
+            return loc or "/"
+        if isinstance(node, dict):
+            children = list(node.items())
+        elif isinstance(node, list):
+            children = list(enumerate(node))
+        else:
+            continue
+        stack.extend((value, f"{loc}/{key}") for key, value in reversed(children))
+    return "/"
 
 
 def _as_obj(x, loc: str) -> dict:
@@ -271,8 +303,8 @@ def _parse_params(doc, loc: str) -> dict:
         out["horizon"] = _as_int(obj["horizon"], f"{loc}/horizon")
     if "epsilon" in obj:
         eps = _as_num(obj["epsilon"], f"{loc}/epsilon")
-        if eps < 0.0:
-            raise SchemaError(f"epsilon must be >= 0, got {eps!r}", f"{loc}/epsilon")
+        if not math.isfinite(eps) or eps < 0.0:
+            raise SchemaError(f"epsilon must be finite and >= 0, got {eps!r}", f"{loc}/epsilon")
         out["epsilon"] = eps
     if "tail_start" in obj:
         out["tail_start"] = _as_int(obj["tail_start"], f"{loc}/tail_start")

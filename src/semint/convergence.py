@@ -30,6 +30,7 @@ constant-value sequences witnessing both gaps.
 from __future__ import annotations
 
 import math
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -43,6 +44,9 @@ from semint.semicopula import Semicopula
 
 DEFAULT_EPSILON = 1e-9
 DEFAULT_T_GRID_SIZE = 100
+
+# cells of the level-set cube _survival_matrix holds at once (8 MiB as int64)
+_SURVIVAL_BLOCK_CELLS = 1 << 20
 
 MODE_IN_CAPACITY = "in-capacity"
 MODE_STRICT = "strict"
@@ -138,12 +142,20 @@ def _verdict(tail_sup: float, final_value: float, epsilon: float) -> str:
 
 
 def _survival_matrix(c: Capacity, residuals: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
-    """mu({|f_n - f| >= t}) for every term (rows) and threshold (columns)."""
-    n = residuals.shape[1]
+    """mu({|f_n - f| >= t}) for every term (rows) and threshold (columns).
+
+    The term x threshold x point cube of level-set bits is built a block of
+    rows at a time, each block within ``_SURVIVAL_BLOCK_CELLS`` cells, so
+    memory stays bounded at any horizon.
+    """
+    horizon, n = residuals.shape
     powers = np.int64(1) << np.arange(n, dtype=np.int64)
-    hits = residuals[:, None, :] >= thresholds[None, :, None]
-    masks = hits.astype(np.int64) @ powers
-    return c.table[masks]
+    rows = max(1, _SURVIVAL_BLOCK_CELLS // (thresholds.size * n))
+    out = np.empty((horizon, thresholds.size))
+    for start in range(0, horizon, rows):
+        hits = residuals[start : start + rows, None, :] >= thresholds[None, :, None]
+        out[start : start + rows] = c.table[hits.astype(np.int64) @ powers]
+    return out
 
 
 def check_in_capacity(
@@ -270,6 +282,25 @@ def _implication_report(theorem: int, hyp: ConvergenceReport, concl: Convergence
     return ImplicationReport(theorem, hyp, concl, violation, not violation, summary)
 
 
+# While random_audit runs one case: its check_strict reports by (capacity, sequence, epsilon,
+# tail_start), so the case's theorem audits, called through their public signatures, share one.
+# Capacity and FnSequence hash by identity; the memo is reset when the case ends.
+_case_hypotheses: ContextVar[dict | None] = ContextVar("_case_hypotheses", default=None)
+
+
+def _strict_hypothesis(
+    c: Capacity, seq: FnSequence, epsilon: float, tail_start: int | None
+) -> ConvergenceReport:
+    """The audits' shared hypothesis: check_strict, run once per random_audit case."""
+    memo = _case_hypotheses.get()
+    if memo is None:
+        return check_strict(c, seq, epsilon, tail_start)
+    key = (c, seq, epsilon, tail_start)
+    if key not in memo:
+        memo[key] = check_strict(c, seq, epsilon, tail_start)
+    return memo[key]
+
+
 def theorem1_audit(
     c: Capacity,
     seq: FnSequence,
@@ -279,7 +310,7 @@ def theorem1_audit(
     tail_start: int | None = None,
 ) -> ImplicationReport:
     """Audit claim 1: a strict-convergence pass must come with an in-capacity pass."""
-    hyp = check_strict(c, seq, epsilon, tail_start)
+    hyp = _strict_hypothesis(c, seq, epsilon, tail_start)
     concl = check_in_capacity(c, seq, t_grid, epsilon, tail_start)
     return _implication_report(1, hyp, concl)
 
@@ -293,7 +324,7 @@ def theorem2_audit(
     tail_start: int | None = None,
 ) -> ImplicationReport:
     """Audit claim 2: a strict-convergence pass must come with an in-mean pass."""
-    hyp = check_strict(c, seq, epsilon, tail_start)
+    hyp = _strict_hypothesis(c, seq, epsilon, tail_start)
     concl = check_in_mean(s, c, seq, epsilon, tail_start)
     return _implication_report(2, hyp, concl)
 
@@ -392,7 +423,8 @@ def random_audit(
     """Run both implication audits over seeded random capacities and strict sequences.
 
     Returns one tuple per case: the claim-1 report followed by a claim-2
-    report per semicopula.  Used by the CLI ``audit`` subcommand and the
+    report per semicopula.  All audits of a case share one strict-convergence
+    hypothesis report, computed once.  Used by the CLI ``audit`` subcommand and the
     acceptance suite; a fixed seed makes the whole batch reproducible.
     """
     rng = np.random.default_rng(seed)
@@ -400,8 +432,12 @@ def random_audit(
     for _ in range(cases):
         c = random_capacity(space, rng)
         seq = random_strict_sequence(space, c, horizon, rng)
-        reports = [theorem1_audit(c, seq)]
-        for s in semicopulas:
-            reports.append(theorem2_audit(s, c, seq))
+        token = _case_hypotheses.set({})
+        try:
+            reports = [theorem1_audit(c, seq)]
+            for s in semicopulas:
+                reports.append(theorem2_audit(s, c, seq))
+        finally:
+            _case_hypotheses.reset(token)
         out.append(tuple(reports))
     return out

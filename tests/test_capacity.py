@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -164,6 +165,12 @@ def test_possibility_requires_weight_one():
         Capacity.from_possibility(FiniteSpace(2), [1.0, 1.0, 1.0])
 
 
+def test_possibility_rejects_non_finite_weights():
+    for bad in ([1.0, math.nan], [math.nan, math.nan], [1.0, math.inf]):
+        with pytest.raises(DomainError, match="finite"):
+            Capacity.from_possibility(FiniteSpace(2), bad)
+
+
 def test_possibility_is_maxitive_exhaustively():
     for n in (2, 4, 6):
         rng = np.random.default_rng(n)
@@ -195,6 +202,12 @@ def test_additive_rejects_bad_weights():
         Capacity.from_additive(FiniteSpace(2), [0.0, 0.0])
     with pytest.raises(BadWeightsError):
         Capacity.from_additive(FiniteSpace(2), [0.7, 0.4])  # sums to 1.1
+
+
+def test_additive_rejects_non_finite_weights():
+    for bad in ([math.nan, 1.0], [math.inf, 1.0], [-math.inf, 1.0]):
+        with pytest.raises(BadWeightsError, match="finite"):
+            Capacity.from_additive(FiniteSpace(2), bad)
 
 
 def test_additive_tolerates_tiny_sum_error_and_renormalizes():
@@ -313,3 +326,101 @@ def test_table_is_read_only():
     c = uniform_additive(2)
     with pytest.raises(ValueError):
         c.table[1] = 0.9
+
+
+def test_direct_construction_checks_table_shape():
+    with pytest.raises(DomainError, match="needs 4 values"):
+        Capacity(FiniteSpace(2), [0.0, 1.0])
+    with pytest.raises(DomainError, match="needs 4 values"):
+        Capacity(FiniteSpace(2), np.zeros((2, 2)))
+    assert Capacity(FiniteSpace(1), [0.0, 1.0]).measure(1) == 1.0
+
+
+# ---------------------------------------------------------------------------
+# the strided lattice scan against the fancy-indexed loops it replaced
+
+
+def ref_lattice_build(n: int, step) -> np.ndarray:
+    """table[A + {i}] = step(table[A], i) for every i, over index arrays."""
+    table = np.zeros(1 << n)
+    idx = np.arange(1 << n)
+    for i in range(n):
+        has = (idx & (1 << i)) != 0
+        table[has] = step(table[idx[has] ^ (1 << i)], i)
+    return table
+
+
+def ref_random_table(n: int, rng: np.random.Generator) -> np.ndarray:
+    table = rng.random(1 << n)
+    idx = np.arange(1 << n)
+    for i in range(n):
+        has = (idx & (1 << i)) != 0
+        table[has] = np.maximum(table[has], table[idx[has] ^ (1 << i)])
+    table[0] = 0.0
+    table[-1] = 1.0
+    return table
+
+
+def ref_monotone_witnesses(n: int, table: np.ndarray) -> list[tuple[int, int]]:
+    idx = np.arange(1 << n)
+    out = []
+    for i in range(n):
+        without = idx[(idx & (1 << i)) == 0]
+        drop = table[without] - table[without | (1 << i)]
+        out.extend((int(a), i) for a in without[drop > 0.0])
+    return out
+
+
+def bit_equal(a, b) -> bool:
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_lattice_builders_match_index_loops_bit_for_bit(n):
+    space = FiniteSpace(n)
+    rng = np.random.default_rng([n, 11])
+    w = rng.random(n) + 0.05
+    w = w / w.sum()
+    want = ref_lattice_build(n, lambda lo, i: lo + w[i])
+    want = want / want[-1]
+    want[0], want[-1] = 0.0, 1.0
+    assert bit_equal(Capacity.from_additive(space, w).table, want)
+
+    p = rng.random(n)
+    p[int(rng.integers(n))] = 1.0
+    want = ref_lattice_build(n, lambda lo, i: np.maximum(lo, p[i]))
+    assert bit_equal(Capacity.from_possibility(space, p).table, want)
+
+    for seed in (0, n, 2**40 + n):
+        got = random_capacity(space, np.random.default_rng(seed)).table
+        assert bit_equal(got, ref_random_table(n, np.random.default_rng(seed)))
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_lattice_validation_lists_the_index_loops_witnesses(n):
+    space = FiniteSpace(n)
+    rng = np.random.default_rng([n, 12])
+    base = random_capacity(space, rng).table
+    specials = (math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.0 + 2**-52)
+    for trial in range(4):
+        table = base.copy()
+        hits = rng.integers(0, 1 << n, max(1, (1 << n) // 16))
+        table[hits] = rng.random(hits.size)
+        if trial:
+            table[rng.integers(0, 1 << n, trial)] = rng.choice(specials, trial)
+        got = [
+            (v.kind, v.mask, v.element) for v in validate_table(space, table) if v.kind == "not-monotone"
+        ]
+        assert got == [("not-monotone", a, i) for a, i in ref_monotone_witnesses(n, table)]
+
+
+def test_distortion_peak_memory_stays_near_the_table():
+    base = random_capacity(FiniteSpace(18), np.random.default_rng(3))
+    g = np.concatenate(([0.0], np.sort(np.random.default_rng(4).random(63)), [1.0]))
+    tracemalloc.start()
+    try:
+        Capacity.from_distortion(base, g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * base.table.nbytes

@@ -220,6 +220,35 @@ def test_converge_bad_t_grid_location(tmp_path):
     assert error_of(proc)["location"] == "/params/t_grid/1"
 
 
+def strict_json(text):
+    def reject(name):
+        raise ValueError(f"non-finite {name}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_converge_nan_epsilon_exits_two_with_strict_json(tmp_path):
+    proc = run_cli("converge", write(tmp_path, "n.json", converge_instance(epsilon=float("nan"))))
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    err = strict_json(proc.stderr)
+    assert err["code"] == "schema" and err["location"] == "/params/epsilon"
+
+
+def test_non_finite_json_numbers_are_located_schema_errors(tmp_path):
+    doc = dict(INSTANCE, function={"values": [0.25, float("-inf"), 0.75, 1.0]})
+    proc = run_cli("integrate", write(tmp_path, "i.json", doc))
+    assert proc.returncode == 2
+    err = strict_json(proc.stderr)
+    assert err["code"] == "schema" and err["location"] == "/function/values/1"
+    huge = converge_instance()
+    path = tmp_path / "h.json"
+    path.write_text(json.dumps(huge)[:-2] + '"epsilon": 1e400}}')
+    proc = run_cli("converge", str(path))
+    assert proc.returncode == 2
+    assert strict_json(proc.stderr)["location"] == "/params/epsilon"
+
+
 def test_converge_unknown_rate(tmp_path):
     doc = converge_instance()
     doc["sequence"]["rate"] = "1/sqrt(n)"

@@ -289,6 +289,46 @@ def test_random_audits_consistent_small_batch():
             assert "VIOLATION" not in report.summary
 
 
+def test_random_audit_runs_check_strict_once_per_case(monkeypatch):
+    import semint.convergence as conv
+
+    want = []
+    rng = np.random.default_rng(9)
+    for _ in range(3):
+        c = random_capacity(FiniteSpace(4), rng)
+        seq = random_strict_sequence(FiniteSpace(4), c, 12, rng)
+        reports = (theorem1_audit(c, seq),) + tuple(theorem2_audit(s, c, seq) for s in BUILTINS)
+        want.append([r.to_json_dict() for r in reports])
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return check_strict(*args, **kwargs)
+
+    monkeypatch.setattr(conv, "check_strict", counted)
+    batches = random_audit(FiniteSpace(4), BUILTINS, 3, seed=9, horizon=12)
+    assert len(calls) == 3
+    assert [[r.to_json_dict() for r in batch] for batch in batches] == want
+    theorem1_audit(UNIFORM, stationary_seq())
+    theorem2_audit(MIN, UNIFORM, stationary_seq())
+    assert len(calls) == 5  # outside random_audit every audit runs its own check
+
+
+def test_survival_blocks_match_the_whole_cube():
+    import semint.convergence as conv
+
+    n, grid = 5, default_t_grid(37)
+    rows = conv._SURVIVAL_BLOCK_CELLS // (grid.size * n)
+    residuals = np.random.default_rng(5).random((2 * rows + 3, n))
+    residuals[::7] = 0.0
+    powers = np.int64(1) << np.arange(n, dtype=np.int64)
+    c = random_capacity(FiniteSpace(n), np.random.default_rng(6))
+    whole = c.table[(residuals[:, None, :] >= grid[None, :, None]).astype(np.int64) @ powers]
+    got = conv._survival_matrix(c, residuals, grid)
+    assert got.tobytes() == whole.tobytes()
+
+
 def test_audit_json_shape():
     doc = theorem1_audit(UNIFORM, stationary_seq(), epsilon=0.0).to_json_dict()
     assert doc["theorem"] == 1 and doc["consistent"] is True
