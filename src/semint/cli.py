@@ -108,24 +108,36 @@ def _write_csv(path: str, header: str, rows: Sequence[Sequence[str]]) -> None:
 # instance parsing
 
 
-_NON_FINITE = object()
+_UNREADABLE = object()
 
 
 def _load_json(path: str):
-    """Parse an instance document; NaN and +-Infinity, which strict JSON lacks, are schema errors."""
-    constants: list[str] = []
+    """Parse an instance document into schema errors where strict JSON or Python cannot read it.
+
+    NaN and +-Infinity are not JSON, and integers longer than the
+    interpreter's digit limit cannot be converted; both are reported at their
+    JSON pointer.
+    """
+    rejected: list[str] = []
 
     def non_finite(name: str):
-        constants.append(name)
-        return _NON_FINITE
+        rejected.append(f"non-finite number {name} is not valid JSON")
+        return _UNREADABLE
+
+    def integer(text: str):
+        try:
+            return int(text)
+        except ValueError:
+            rejected.append(f"integer literal of {len(text.lstrip('-'))} digits is too long to read")
+            return _UNREADABLE
 
     if path == "-":
-        doc = json.load(sys.stdin, parse_constant=non_finite)
+        doc = json.load(sys.stdin, parse_constant=non_finite, parse_int=integer)
     else:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh, parse_constant=non_finite)
-    if constants:
-        raise SchemaError(f"non-finite number {constants[0]} is not valid JSON", _pointer_to(doc, _NON_FINITE))
+            doc = json.load(fh, parse_constant=non_finite, parse_int=integer)
+    if rejected:
+        raise SchemaError(rejected[0], _pointer_to(doc, _UNREADABLE))
     return doc
 
 
@@ -167,7 +179,10 @@ def _as_int(x, loc: str) -> int:
 def _as_num(x, loc: str) -> float:
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         raise SchemaError(f"expected a number, got {type(x).__name__}", loc)
-    return float(x)
+    try:
+        return float(x)
+    except OverflowError:
+        raise SchemaError(f"integer of {len(str(abs(x)))} digits is out of the range of a double", loc) from None
 
 
 def _as_str(x, loc: str) -> str:
@@ -365,20 +380,9 @@ def _cmd_integrate(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    if args.grid_points < 2:
-        raise DomainError(f"--grid-points must be >= 2, got {args.grid_points}")
     _, c, s, f = _parse_point_instance(_load_json(args.instance))
-    t = np.linspace(0.0, 1.0, args.grid_points)
-    profile = _grid_profile(s, c, f, t)
-    best = int(np.argmax(profile))  # first attaining grid point
-    _print_report(
-        {
-            "value": float(profile[best]),
-            "argmax_t": float(t[best]),
-            "method": "grid",
-            "grid_points": args.grid_points,
-        }
-    )
+    value, argmax_t = _grid_profile(s, c, f, args.grid_points)
+    _print_report({"value": value, "argmax_t": argmax_t, "method": "grid", "grid_points": args.grid_points})
     return 0
 
 

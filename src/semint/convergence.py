@@ -39,14 +39,11 @@ import numpy as np
 from semint.capacity import Capacity, FiniteSpace, random_capacity
 from semint.errors import BadGridError, BadRateError, DomainError
 from semint.integral import integrate
-from semint.measurable import MeasurableFn, _require_same_space, residual
+from semint.measurable import _SMALLEST_POSITIVE, MeasurableFn, _level_masks, _require_same_space, residual
 from semint.semicopula import Semicopula
 
 DEFAULT_EPSILON = 1e-9
 DEFAULT_T_GRID_SIZE = 100
-
-# cells of the level-set cube _survival_matrix holds at once (8 MiB as int64)
-_SURVIVAL_BLOCK_CELLS = 1 << 20
 
 MODE_IN_CAPACITY = "in-capacity"
 MODE_STRICT = "strict"
@@ -125,7 +122,10 @@ class ConvergenceReport:
         return out
 
 
-def _check_tail_args(horizon: int, tail_start: int | None) -> int:
+def _check_tail_args(horizon: int, tail_start: int | None, epsilon: float) -> int:
+    """Check the tail parameters every mode shares; returns tail_start, defaulted."""
+    if not (math.isfinite(epsilon) and epsilon >= 0.0):
+        raise DomainError(f"epsilon must be finite and >= 0, got {epsilon!r}")
     if tail_start is None:
         return default_tail_start(horizon)
     if not 1 <= tail_start <= horizon:
@@ -139,23 +139,6 @@ def _verdict(tail_sup: float, final_value: float, epsilon: float) -> str:
     if final_value <= epsilon / 10.0:
         return "inconclusive"
     return "fail"
-
-
-def _survival_matrix(c: Capacity, residuals: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
-    """mu({|f_n - f| >= t}) for every term (rows) and threshold (columns).
-
-    The term x threshold x point cube of level-set bits is built a block of
-    rows at a time, each block within ``_SURVIVAL_BLOCK_CELLS`` cells, so
-    memory stays bounded at any horizon.
-    """
-    horizon, n = residuals.shape
-    powers = np.int64(1) << np.arange(n, dtype=np.int64)
-    rows = max(1, _SURVIVAL_BLOCK_CELLS // (thresholds.size * n))
-    out = np.empty((horizon, thresholds.size))
-    for start in range(0, horizon, rows):
-        hits = residuals[start : start + rows, None, :] >= thresholds[None, :, None]
-        out[start : start + rows] = c.table[hits.astype(np.int64) @ powers]
-    return out
 
 
 def check_in_capacity(
@@ -172,9 +155,9 @@ def check_in_capacity(
         raise BadGridError("t_grid must be a nonempty 1-d list of thresholds")
     if np.any(~((grid > 0.0) & (grid <= 1.0))):
         raise BadGridError("t_grid entries must lie in (0, 1]")
-    tail_start = _check_tail_args(seq.horizon, tail_start)
+    tail_start = _check_tail_args(seq.horizon, tail_start, epsilon)
 
-    surv = _survival_matrix(c, seq.residual_matrix(), grid)
+    surv = c.table[_level_masks(seq.residual_matrix(), grid)]
     tail_sups = surv[tail_start - 1 :, :].max(axis=0)
     binding = int(np.argmin(grid))
     per_t = tuple((float(t), float(sup)) for t, sup in zip(grid, tail_sups))
@@ -199,12 +182,8 @@ def check_strict(
 ) -> ConvergenceReport:
     """Tail check of mu({|f_n - f| > 0})."""
     _require_same_space(c, seq)
-    tail_start = _check_tail_args(seq.horizon, tail_start)
-    residuals = seq.residual_matrix()
-    n = residuals.shape[1]
-    powers = np.int64(1) << np.arange(n, dtype=np.int64)
-    masks = (residuals > 0.0).astype(np.int64) @ powers
-    values = c.table[masks]
+    tail_start = _check_tail_args(seq.horizon, tail_start, epsilon)
+    values = c.table[_level_masks(seq.residual_matrix(), [_SMALLEST_POSITIVE])[:, 0]]
     tail_sup = float(values[tail_start - 1 :].max())
     return ConvergenceReport(
         mode=MODE_STRICT,
@@ -227,7 +206,7 @@ def check_in_mean(
 ) -> ConvergenceReport:
     """Tail check of the seminormed integral of |f_n - f|."""
     _require_same_space(c, seq)
-    tail_start = _check_tail_args(seq.horizon, tail_start)
+    tail_start = _check_tail_args(seq.horizon, tail_start, epsilon)
     values = [integrate(s, c, residual(term, seq.limit)).value for term in seq.terms]
     tail_sup = max(values[tail_start - 1 :])
     return ConvergenceReport(
@@ -427,6 +406,8 @@ def random_audit(
     hypothesis report, computed once.  Used by the CLI ``audit`` subcommand and the
     acceptance suite; a fixed seed makes the whole batch reproducible.
     """
+    if cases < 0:
+        raise DomainError(f"cases must be >= 0, got {cases}")
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(cases):

@@ -22,7 +22,7 @@ import numpy as np
 
 from semint.capacity import Capacity
 from semint.errors import DomainError
-from semint.measurable import MeasurableFn, _require_same_space, distinct_values
+from semint.measurable import MeasurableFn, _level_masks, _require_same_space
 from semint.semicopula import MIN, PRODUCT, Semicopula
 
 
@@ -72,11 +72,15 @@ def integrate(s: Semicopula, c: Capacity, f: MeasurableFn) -> IntegralResult:
     return IntegralResult(float(best), float(best_t), len(candidates))
 
 
-def _grid_profile(s: Semicopula, c: Capacity, f: MeasurableFn, t: np.ndarray) -> np.ndarray:
-    """S(t, mu({f >= t})) evaluated over an array of thresholds."""
-    powers = np.int64(1) << np.arange(f.space.size, dtype=np.int64)
-    masks = (f.values[None, :] >= t[:, None]).astype(np.int64) @ powers
-    return s._evaluate_array(t, c.table[masks])
+def _grid_profile(s: Semicopula, c: Capacity, f: MeasurableFn, grid_points: int) -> tuple[float, float]:
+    """Largest S(t, mu({f >= t})) over a uniform grid of thresholds in [0, 1], and the first t attaining it."""
+    _require_same_space(c, f)
+    if grid_points < 2:
+        raise DomainError(f"grid_points must be >= 2, got {grid_points}")
+    t = np.linspace(0.0, 1.0, grid_points)
+    profile = s._evaluate_array(t, c.table[_level_masks(f.values, t)])
+    best = int(np.argmax(profile))  # first attaining grid point
+    return float(profile[best]), float(t[best])
 
 
 def integrate_grid_oracle(s: Semicopula, c: Capacity, f: MeasurableFn, grid_points: int) -> float:
@@ -86,11 +90,7 @@ def integrate_grid_oracle(s: Semicopula, c: Capacity, f: MeasurableFn, grid_poin
     step times the semicopula's slope in its first argument (<= 2 for the
     builtins).
     """
-    _require_same_space(c, f)
-    if grid_points < 2:
-        raise DomainError(f"grid_points must be >= 2, got {grid_points}")
-    t = np.linspace(0.0, 1.0, grid_points)
-    return float(_grid_profile(s, c, f, t).max())
+    return _grid_profile(s, c, f, grid_points)[0]
 
 
 def sugeno(c: Capacity, f: MeasurableFn) -> IntegralResult:

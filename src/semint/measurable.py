@@ -16,6 +16,9 @@ import numpy as np
 from semint.capacity import Capacity, FiniteSpace
 from semint.errors import DomainError, SpaceMismatchError
 
+# the smallest positive double: on values >= 0, {v > 0} is the level set {v >= _SMALLEST_POSITIVE}
+_SMALLEST_POSITIVE = float(np.nextafter(0.0, 1.0))
+
 
 @dataclass(frozen=True, slots=True, eq=False)
 class MeasurableFn:
@@ -55,24 +58,43 @@ def _require_same_space(a, b) -> None:
         raise SpaceMismatchError(f"spaces differ: {a.space.size} vs {b.space.size} points")
 
 
+# cells of the row x threshold x point comparison _level_masks holds at once (1 MiB as bool)
+_LEVEL_BLOCK_CELLS = 1 << 20
+
+
+def _level_masks(values: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+    """Masks of ``{i : values[r, i] >= thresholds[j]}`` as int64, one row per row of ``values``.
+
+    ``values`` is a matrix (rows x points), giving a (rows, thresholds) result,
+    or a single row of points, giving one mask per threshold.  The comparison
+    cube is built a block at a time, each block within ``_LEVEL_BLOCK_CELLS``
+    cells (a block of rows, or of one row's thresholds when a row alone is
+    larger), so memory stays bounded for any horizon and grid.
+    """
+    thresholds = np.asarray(thresholds, dtype=np.float64)
+    rows = np.atleast_2d(values)
+    n = rows.shape[1]
+    powers = np.int64(1) << np.arange(n, dtype=np.int64)
+    row_step = max(1, _LEVEL_BLOCK_CELLS // max(1, thresholds.size * n))
+    t_step = max(1, _LEVEL_BLOCK_CELLS // (row_step * n))
+    out = np.empty((rows.shape[0], thresholds.size), dtype=np.int64)
+    for r in range(0, rows.shape[0], row_step):
+        for j in range(0, thresholds.size, t_step):
+            hits = rows[r : r + row_step, None, :] >= thresholds[None, j : j + t_step, None]
+            out[r : r + row_step, j : j + t_step] = hits.astype(np.int64) @ powers
+    return out if np.ndim(values) == 2 else out[0]
+
+
 def level_set(f: MeasurableFn, t: float) -> int:
     """Mask of ``{i : f(i) >= t}``, exact comparison."""
     if not 0.0 <= t <= 1.0:
         raise DomainError(f"threshold {t!r} outside [0,1]")
-    mask = 0
-    for i, v in enumerate(f.values.tolist()):
-        if v >= t:
-            mask |= 1 << i
-    return mask
+    return int(_level_masks(f.values, [t])[0])
 
 
 def strict_support(f: MeasurableFn) -> int:
     """Mask of ``{i : f(i) > 0}``."""
-    mask = 0
-    for i, v in enumerate(f.values.tolist()):
-        if v > 0.0:
-            mask |= 1 << i
-    return mask
+    return int(_level_masks(f.values, [_SMALLEST_POSITIVE])[0])
 
 
 def residual(f: MeasurableFn, g: MeasurableFn) -> MeasurableFn:

@@ -235,60 +235,25 @@ def validate_semicopula(s: Semicopula, check_resolution: int) -> ValidationRepor
     grid_a, grid_b = np.meshgrid(axis, axis, indexing="ij")
     values = s._evaluate_array(grid_a, grid_b)
 
-    violations: list[AxiomViolation] = []
-
-    drop_a = values[:-1, :] - values[1:, :]
-    rows, cols = np.nonzero(drop_a > AXIOM_TOL)
-    for i, j in zip(rows, cols):
-        violations.append(
-            AxiomViolation(
-                "monotone-first-arg",
-                float(axis[i + 1]),
-                float(axis[j]),
-                float(values[i + 1, j]),
-                float(values[i, j]),
-            )
-        )
-
-    drop_b = values[:, :-1] - values[:, 1:]
-    rows, cols = np.nonzero(drop_b > AXIOM_TOL)
-    for i, j in zip(rows, cols):
-        violations.append(
-            AxiomViolation(
-                "monotone-second-arg",
-                float(axis[i]),
-                float(axis[j + 1]),
-                float(values[i, j + 1]),
-                float(values[i, j]),
-            )
-        )
-
     last = check_resolution
-    right = np.abs(values[:, last] - axis) > AXIOM_TOL
-    for i in np.nonzero(right)[0]:
-        violations.append(
-            AxiomViolation("neutral-right", float(axis[i]), 1.0, float(values[i, last]), float(axis[i]))
-        )
-    left = np.abs(values[last, :] - axis) > AXIOM_TOL
-    for j in np.nonzero(left)[0]:
-        violations.append(
-            AxiomViolation("neutral-left", 1.0, float(axis[j]), float(values[last, j]), float(axis[j]))
-        )
-
     bound = np.minimum(grid_a, grid_b)
-    rows, cols = np.nonzero(values - bound > AXIOM_TOL)
-    for i, j in zip(rows, cols):
-        violations.append(
-            AxiomViolation(
-                "min-bound", float(axis[i]), float(axis[j]), float(values[i, j]), float(bound[i, j])
-            )
-        )
-
-    bad = np.abs(values[:, 0]) > AXIOM_TOL
-    for i in np.nonzero(bad)[0]:
-        violations.append(AxiomViolation("zero-right", float(axis[i]), 0.0, float(values[i, 0]), 0.0))
-    bad = np.abs(values[0, :]) > AXIOM_TOL
-    for j in np.nonzero(bad)[0]:
-        violations.append(AxiomViolation("zero-left", 0.0, float(axis[j]), float(values[0, j]), 0.0))
-
-    return ValidationReport(s.kind, check_resolution, not violations, tuple(violations))
+    zero, one = np.zeros_like(axis), np.ones_like(axis)
+    # (axiom, failing cells, a, b, observed, reference) in report order; the arrays of one check share a shape
+    checks = (
+        ("monotone-first-arg", values[:-1, :] - values[1:, :] > AXIOM_TOL,
+         grid_a[1:, :], grid_b[1:, :], values[1:, :], values[:-1, :]),
+        ("monotone-second-arg", values[:, :-1] - values[:, 1:] > AXIOM_TOL,
+         grid_a[:, 1:], grid_b[:, 1:], values[:, 1:], values[:, :-1]),
+        ("neutral-right", np.abs(values[:, last] - axis) > AXIOM_TOL, axis, one, values[:, last], axis),
+        ("neutral-left", np.abs(values[last, :] - axis) > AXIOM_TOL, one, axis, values[last, :], axis),
+        ("min-bound", values - bound > AXIOM_TOL, grid_a, grid_b, values, bound),
+        ("zero-right", np.abs(values[:, 0]) > AXIOM_TOL, axis, zero, values[:, 0], zero),
+        ("zero-left", np.abs(values[0, :]) > AXIOM_TOL, zero, axis, values[0, :], zero),
+    )
+    # boolean-mask indexing walks the failing cells in row-major order, as np.nonzero does
+    violations = tuple(
+        AxiomViolation(axiom, a, b, observed, reference)
+        for axiom, bad, *cells in checks
+        for a, b, observed, reference in zip(*(x[bad].tolist() for x in cells))
+    )
+    return ValidationReport(s.kind, check_resolution, not violations, violations)

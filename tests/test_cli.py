@@ -2,9 +2,11 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from semint.cli import canonical_json
+from semint.cli import _parse_point_instance, canonical_json
+from semint.integral import _grid_profile
 
 INSTANCE = {
     "space": {"n": 4},
@@ -86,6 +88,17 @@ def test_oracle_lower_bounds_exact(tmp_path):
     assert out["method"] == "grid" and out["grid_points"] == 100001
     assert 0.0 <= exact["value"] - out["value"] <= 5e-4
     assert out["value"] == pytest.approx(0.5, abs=1e-5)
+
+
+def test_oracle_reports_the_grid_profile(tmp_path):
+    values = np.random.default_rng(8).random(4).tolist()
+    for kind in ("min", "product", "prodmax", "lukasiewicz"):
+        doc = dict(INSTANCE, semicopula={"kind": kind}, function={"values": values})
+        proc = run_cli("oracle", write(tmp_path, "i.json", doc), "--grid-points", "999")
+        assert proc.returncode == 0
+        out = json.loads(proc.stdout)
+        _, c, s, f = _parse_point_instance(doc)
+        assert (out["value"], out["argmax_t"]) == _grid_profile(s, c, f, 999)
 
 
 def test_oracle_rejects_tiny_grid(tmp_path):
@@ -249,6 +262,16 @@ def test_non_finite_json_numbers_are_located_schema_errors(tmp_path):
     assert strict_json(proc.stderr)["location"] == "/params/epsilon"
 
 
+def test_huge_json_integers_are_located_schema_errors(tmp_path):
+    for digits in (401, 5000):  # past the range of a double; past Python's integer digit limit
+        path = tmp_path / "h.json"
+        path.write_text(json.dumps(INSTANCE).replace("0.5", "1" * digits))
+        proc = run_cli("integrate", str(path))
+        assert proc.returncode == 2 and proc.stdout == b""
+        err = strict_json(proc.stderr)
+        assert err["code"] == "schema" and err["location"] == "/function/values/1"
+
+
 def test_converge_unknown_rate(tmp_path):
     doc = converge_instance()
     doc["sequence"]["rate"] = "1/sqrt(n)"
@@ -285,6 +308,19 @@ def test_counterexample_bad_rate_exits_two():
     proc = run_cli("counterexample", "--theorem", "1", "--rate", "bogus")
     assert proc.returncode == 2
     assert error_of(proc)["code"] == "bad-rate"
+
+
+@pytest.mark.parametrize("theorem,epsilon", [("1", "nan"), ("2", "nan"), ("2", "inf"), ("1", "-1")])
+def test_counterexample_bad_epsilon_exits_two_with_strict_json(theorem, epsilon):
+    proc = run_cli("counterexample", "--theorem", theorem, f"--epsilon={epsilon}")
+    assert proc.returncode == 2 and proc.stdout == b""
+    assert strict_json(proc.stderr)["code"] == "domain"
+
+
+def test_audit_negative_cases_exits_two():
+    proc = run_cli("audit", "--cases", "-3")
+    assert proc.returncode == 2 and proc.stdout == b""
+    assert error_of(proc)["code"] == "domain"
 
 
 def test_audit_clean_run(tmp_path):

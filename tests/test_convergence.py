@@ -230,6 +230,19 @@ def test_counterexample_rejects_non_vanishing_rate():
         counterexample_constant(SPACE, "1/n", 0)
 
 
+@pytest.mark.parametrize("epsilon", [math.nan, math.inf, -math.inf, -1.0, -5e-324])
+def test_every_mode_rejects_a_bad_epsilon(epsilon):
+    seq = constant_seq(10)
+    with pytest.raises(DomainError):
+        check_strict(UNIFORM, seq, epsilon)
+    with pytest.raises(DomainError):
+        check_in_capacity(UNIFORM, seq, epsilon=epsilon)
+    with pytest.raises(DomainError):
+        check_in_mean(MIN, UNIFORM, seq, epsilon)
+    with pytest.raises(DomainError):
+        theorem2_audit(MIN, UNIFORM, seq, epsilon=epsilon)
+
+
 def test_fn_sequence_validation():
     f = MeasurableFn.constant(SPACE, 0.5)
     with pytest.raises(DomainError):
@@ -315,18 +328,10 @@ def test_random_audit_runs_check_strict_once_per_case(monkeypatch):
     assert len(calls) == 5  # outside random_audit every audit runs its own check
 
 
-def test_survival_blocks_match_the_whole_cube():
-    import semint.convergence as conv
-
-    n, grid = 5, default_t_grid(37)
-    rows = conv._SURVIVAL_BLOCK_CELLS // (grid.size * n)
-    residuals = np.random.default_rng(5).random((2 * rows + 3, n))
-    residuals[::7] = 0.0
-    powers = np.int64(1) << np.arange(n, dtype=np.int64)
-    c = random_capacity(FiniteSpace(n), np.random.default_rng(6))
-    whole = c.table[(residuals[:, None, :] >= grid[None, :, None]).astype(np.int64) @ powers]
-    got = conv._survival_matrix(c, residuals, grid)
-    assert got.tobytes() == whole.tobytes()
+def test_random_audit_rejects_negative_cases():
+    with pytest.raises(DomainError):
+        random_audit(SPACE, BUILTINS, -1, seed=0)
+    assert random_audit(SPACE, BUILTINS, 0, seed=0) == []
 
 
 def test_audit_json_shape():

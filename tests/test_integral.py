@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,7 @@ from semint import (
     sugeno,
     survival,
 )
+from semint.integral import _grid_profile
 
 SPACE4 = FiniteSpace(4)
 UNIFORM4 = Capacity.from_additive(SPACE4, [0.25] * 4)
@@ -150,6 +153,24 @@ def test_oracle_golden_near_half():
 def test_oracle_requires_two_points():
     with pytest.raises(DomainError):
         integrate_grid_oracle(MIN, UNIFORM4, STEPS, 1)
+
+
+def test_grid_profile_reports_the_first_attaining_threshold():
+    # profile over t = 0, 1/4, ..., 1 is 0, 1/4, 1/2, 1/2, 1/4
+    assert _grid_profile(MIN, UNIFORM4, STEPS, 5) == (0.5, 0.5)
+
+
+def test_oracle_peak_memory_is_bounded_at_two_million_points():
+    c = rng_capacity(1, 16)
+    f = MeasurableFn(c.space, np.random.default_rng(2).random(16))
+    for s in BUILTINS:
+        tracemalloc.start()
+        try:
+            integrate_grid_oracle(s, c, f, 2_000_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20, s.kind  # the whole grid x point comparison would take 244 MiB as int64
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from semint import (
     SpaceMismatchError,
     distinct_values,
     level_set,
+    measurable,
     random_capacity,
     residual,
     strict_support,
@@ -92,6 +93,7 @@ def test_level_sets_nested(values):
 def test_strict_support_golden():
     assert strict_support(MeasurableFn.constant(SPACE4, 0.0)) == 0
     assert strict_support(MeasurableFn(FiniteSpace(3), [0.0, 0.001, 0.0])) == 0b010
+    assert strict_support(MeasurableFn(FiniteSpace(3), [5e-324, 0.0, 0.0])) == 0b001  # subnormal
     assert strict_support(MeasurableFn.constant(SPACE4, 0.2)) == SPACE4.full_mask
 
 
@@ -103,6 +105,26 @@ def test_strict_support_is_smallest_positive_level_set(values):
         assert strict_support(f) == level_set(f, min(positive))
     else:
         assert strict_support(f) == 0
+
+
+def test_level_mask_blocks_match_the_whole_cube(monkeypatch):
+    n, grid = 5, np.logspace(-2.0, 0.0, 37)
+    rng = np.random.default_rng(5)
+    residuals = rng.random((23, n))
+    residuals[::7] = 0.0
+    residuals[1] = grid[:n]  # ties at the thresholds
+    residuals[2, 0] = 5e-324
+    powers = np.int64(1) << np.arange(n, dtype=np.int64)
+    row, t = residuals[1], np.linspace(0.0, 1.0, 1001)
+    cube = (residuals[:, None, :] >= grid[None, :, None]).astype(np.int64) @ powers
+    profile = (row[None, :] >= t[:, None]).astype(np.int64) @ powers
+    # 1 and 64 cells split one row's thresholds, 1 << 10 splits the rows, 1 << 20 takes all at once
+    for block in (1, 64, 1 << 10, 1 << 20):
+        monkeypatch.setattr(measurable, "_LEVEL_BLOCK_CELLS", block)
+        pairs = ((measurable._level_masks(residuals, grid), cube), (measurable._level_masks(row, t), profile))
+        for got, whole in pairs:
+            assert got.dtype == np.int64 and got.shape == whole.shape
+            assert got.tobytes() == whole.tobytes()
 
 
 # ---------------------------------------------------------------------------
