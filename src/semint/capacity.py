@@ -27,6 +27,7 @@ across threads.
 from __future__ import annotations
 
 import math
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -100,6 +101,12 @@ class CapacityViolation:
         return out
 
 
+# Set only while from_table checks a table: validate_table then raises from_table's error for the
+# first violation and counts the rest from their index arrays, instead of listing them all, so a
+# table with a million faults costs one message; traces still show the check inside from_table.
+_raise_first: ContextVar[bool] = ContextVar("_raise_first", default=False)
+
+
 def validate_table(space: FiniteSpace, values: Sequence[float] | np.ndarray) -> list[CapacityViolation]:
     """Check a dense candidate table against the capacity axioms.
 
@@ -108,39 +115,57 @@ def validate_table(space: FiniteSpace, values: Sequence[float] | np.ndarray) -> 
     means the table is a valid capacity.
     """
     table = _dense_table(space, values)
-    violations: list[CapacityViolation] = []
+    faults = _faults(table, space.size)
+    if _raise_first.get():
+        _raise_first_fault(table, faults)
+        return []
+    return [_violation(table, kind, mask, element) for kind, masks, element in faults for mask in masks.tolist()]
 
-    bad_range = np.where(~((table >= 0.0) & (table <= 1.0)))[0]
-    for mask in bad_range:
-        violations.append(
-            CapacityViolation("domain", f"mu({int(mask):#x}) = {float(table[mask])!r} outside [0,1]", int(mask))
-        )
 
-    if table[0] != 0.0:
-        violations.append(
-            CapacityViolation("not-normalized", f"mu(empty) = {float(table[0])!r}, expected 0", 0)
-        )
-    if table[-1] != 1.0:
-        violations.append(
-            CapacityViolation(
-                "not-normalized", f"mu(X) = {float(table[-1])!r}, expected 1", space.full_mask
-            )
-        )
+def _faults(table: np.ndarray, points: int):
+    """Yield ``(kind, masks, element)`` for each group of violations, in validate_table's order.
 
-    for i, lo, hi in _lattice_pairs(table, space.size):
-        bit = 1 << i
-        for k in np.flatnonzero(lo > hi):
-            block, offset = divmod(int(k), bit)
-            a = (block << (i + 1)) | offset
-            violations.append(
-                CapacityViolation(
-                    "not-monotone",
-                    f"mu({a:#x}) = {float(table[a])!r} > mu({a | bit:#x}) = {float(table[a | bit])!r}",
-                    a,
-                    i,
-                )
-            )
-    return violations
+    First the masks whose value lies outside [0,1], then mu(empty) != 0 and
+    mu(X) != 1, then for each point ``i`` (the ``element``) the masks ``A``
+    without ``i`` where mu(A) > mu(A + {i}), in increasing order.
+    """
+    yield "domain", np.flatnonzero(~((table >= 0.0) & (table <= 1.0))), None
+    boundary = [mask for mask, want in ((0, 0.0), (table.size - 1, 1.0)) if table[mask] != want]
+    yield "not-normalized", np.array(boundary, dtype=np.int64), None
+    for i, lo, hi in _lattice_pairs(table, points):
+        k = np.flatnonzero(lo > hi)  # k = block * 2**i + offset; its mask is block * 2**(i+1) + offset
+        yield "not-monotone", k + (k >> i << i), i
+
+
+def _violation(table: np.ndarray, kind: str, mask: int, element: int | None) -> CapacityViolation:
+    """The violation ``_faults`` reports as ``(kind, mask, element)``, with its message."""
+    value = float(table[mask])
+    if kind == "domain":
+        return CapacityViolation(kind, f"mu({mask:#x}) = {value!r} outside [0,1]", mask)
+    if kind == "not-normalized":
+        message = f"mu(empty) = {value!r}, expected 0" if mask == 0 else f"mu(X) = {value!r}, expected 1"
+        return CapacityViolation(kind, message, mask)
+    upper = mask | 1 << element
+    return CapacityViolation(
+        kind, f"mu({mask:#x}) = {value!r} > mu({upper:#x}) = {float(table[upper])!r}", mask, element
+    )
+
+
+def _raise_first_fault(table: np.ndarray, faults) -> None:
+    """Raise from_table's error for the first of ``faults``, if there is one."""
+    first, total = None, 0
+    for kind, masks, element in faults:
+        if first is None and masks.size:
+            first = _violation(table, kind, int(masks[0]), element)
+        total += masks.size
+    if first is None:
+        return
+    if first.kind == "domain":
+        raise DomainError(first.message)
+    message = f"{first.message} ({total} violation(s) total)"
+    if first.kind == "not-normalized":
+        raise NotNormalizedError(message)
+    raise NotMonotoneError(message, mask=first.mask, element=first.element)
 
 
 def _dense_table(space: FiniteSpace, values: Sequence[float] | np.ndarray) -> np.ndarray:
@@ -186,24 +211,26 @@ class Capacity:
 
     @classmethod
     def from_table(cls, space: FiniteSpace, values: Sequence[float] | np.ndarray) -> "Capacity":
-        """Build a capacity from a dense table, rejecting any axiom violation."""
-        violations = validate_table(space, values)
-        if violations:
-            domain = [v for v in violations if v.kind == "domain"]
-            if domain:
-                raise DomainError(domain[0].message)
-            boundary = [v for v in violations if v.kind == "not-normalized"]
-            if boundary:
-                raise NotNormalizedError(
-                    f"{boundary[0].message} ({len(violations)} violation(s) total)"
-                )
-            first = violations[0]
-            raise NotMonotoneError(
-                f"{first.message} ({len(violations)} violation(s) total)",
-                mask=first.mask,
-                element=first.element,
-            )
-        return cls(space, np.asarray(values, dtype=np.float64).copy())
+        """Build a capacity from a dense table, rejecting any axiom violation.
+
+        The error reports the first violation ``validate_table`` lists and the
+        total count.  The capacity keeps a copy of ``values``, unless ``values``
+        is a read-only float64 array that owns its memory: nothing can write to
+        that one, so it is kept as it is.
+        """
+        frozen = (
+            type(values) is np.ndarray
+            and values.dtype == np.float64
+            and values.base is None
+            and not values.flags.writeable
+        )
+        table = values if frozen else np.array(values, dtype=np.float64)
+        token = _raise_first.set(True)
+        try:
+            validate_table(space, table)
+        finally:
+            _raise_first.reset(token)
+        return cls(space, table)
 
     @classmethod
     def from_possibility(cls, space: FiniteSpace, weights: Sequence[float]) -> "Capacity":
@@ -273,6 +300,7 @@ class Capacity:
         if np.any(np.diff(samples) < 0.0):
             raise BadDistortionError("distortion samples must be non-decreasing")
         table = _interp_monotone(samples, base.table)
+        table.setflags(write=False)  # a fresh table nobody else holds: from_table need not copy it
         return cls.from_table(base.space, table)
 
     def to_json_dict(self) -> dict:
@@ -312,4 +340,5 @@ def random_capacity(space: FiniteSpace, rng: np.random.Generator) -> Capacity:
         np.maximum(hi, lo, out=hi)
     table[0] = 0.0
     table[-1] = 1.0
+    table.setflags(write=False)  # a fresh table nobody else holds: from_table need not copy it
     return Capacity.from_table(space, table)

@@ -22,11 +22,11 @@ from semint.capacity import Capacity, FiniteSpace, validate_table
 from semint.convergence import (
     DEFAULT_EPSILON,
     FnSequence,
+    _tail_start,
     check_in_capacity,
     check_in_mean,
     check_strict,
     counterexample_constant,
-    default_tail_start,
     random_audit,
     theorem1_audit,
     theorem2_audit,
@@ -233,21 +233,27 @@ def infer_capacity_space(doc, loc: str) -> FiniteSpace:
     raise SchemaError(f"unknown capacity kind {kind!r}", f"{loc}/kind")
 
 
+def _table_values(obj: dict, space: FiniteSpace, loc: str) -> list[float]:
+    """A table capacity's values: one per subset of ``space``, whose size a declared ``n`` must match."""
+    if "n" in obj and _as_int(obj["n"], f"{loc}/n") != space.size:
+        raise SchemaError(
+            f"capacity declares n={obj['n']} but the space has {space.size} points",
+            f"{loc}/n",
+        )
+    values = _num_list(_get(obj, "values", loc), f"{loc}/values")
+    if len(values) != space.num_subsets:
+        raise SchemaError(
+            f"need {space.num_subsets} values for n={space.size}, got {len(values)}",
+            f"{loc}/values",
+        )
+    return values
+
+
 def parse_capacity(doc, space: FiniteSpace, loc: str) -> Capacity:
     obj = _as_obj(doc, loc)
     kind = _as_str(_get(obj, "kind", loc), f"{loc}/kind")
     if kind == "table":
-        if "n" in obj and _as_int(obj["n"], f"{loc}/n") != space.size:
-            raise SchemaError(
-                f"capacity declares n={obj['n']} but the space has {space.size} points",
-                f"{loc}/n",
-            )
-        values = _num_list(_get(obj, "values", loc), f"{loc}/values")
-        if len(values) != space.num_subsets:
-            raise SchemaError(
-                f"need {space.num_subsets} values for n={space.size}, got {len(values)}",
-                f"{loc}/values",
-            )
+        values = _table_values(obj, space, loc)
         try:
             return Capacity.from_table(space, values)
         except SemintError as e:
@@ -408,13 +414,7 @@ def _cmd_check_capacity(args) -> int:
     kind = _as_str(_get(inner, "kind", loc), f"{loc}/kind")
 
     if kind == "table":
-        values = _num_list(_get(inner, "values", loc), f"{loc}/values")
-        if len(values) != space.num_subsets:
-            raise SchemaError(
-                f"need {space.num_subsets} values for n={space.size}, got {len(values)}",
-                f"{loc}/values",
-            )
-        violations = [v.to_json_dict() for v in validate_table(space, values)]
+        violations = [v.to_json_dict() for v in validate_table(space, _table_values(inner, space, loc))]
     else:
         try:
             parse_capacity(inner, space, loc)
@@ -436,7 +436,10 @@ def _cmd_converge(args) -> int:
     seq = _parse_sequence(_get(obj, "sequence", "/"), space, params, "/sequence")
 
     epsilon = params.get("epsilon", DEFAULT_EPSILON)
-    tail_start = params.get("tail_start")
+    try:
+        tail_start = _tail_start(seq.horizon, params.get("tail_start"))
+    except DomainError as e:
+        raise SchemaError(str(e), "/params/tail_start") from None
     t_grid = params.get("t_grid")
     rep_cap = check_in_capacity(c, seq, t_grid, epsilon, tail_start)
     rep_strict = check_strict(c, seq, epsilon, tail_start)
@@ -468,7 +471,7 @@ def _cmd_counterexample(args) -> int:
     space = FiniteSpace(args.space_size)
     c = Capacity.from_additive(space, [1.0 / args.space_size] * args.space_size)
     seq = counterexample_constant(space, args.rate, args.horizon)
-    tail_start = args.tail_start if args.tail_start is not None else default_tail_start(seq.horizon)
+    tail_start = _tail_start(seq.horizon, args.tail_start)
     # the largest residual the tail still shows; the demo's grid/epsilon must sit above it
     tail_residual = float(seq.residual_matrix()[tail_start - 1 :].max())
 

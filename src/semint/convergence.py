@@ -20,6 +20,11 @@ Level sets are nested, so among grid points the smallest t is the binding
 one; the full grid is still computed and reported.  The default grid has 100
 log-spaced points because failures concentrate at small thresholds.
 
+Strict convergence is the in-capacity survival at the single threshold
+``t = nextafter(0, 1)``, the smallest positive double: residuals are >= 0,
+so ``{r > 0} = {r >= 5e-324}`` exactly.  Both modes therefore share one
+survival kernel, and all three share one report builder.
+
 Two one-way implications hold between the modes and are exercised by the
 audit helpers: strict convergence forces convergence in capacity (claim 1),
 and strict convergence forces mean convergence for every semicopula
@@ -122,10 +127,8 @@ class ConvergenceReport:
         return out
 
 
-def _check_tail_args(horizon: int, tail_start: int | None, epsilon: float) -> int:
-    """Check the tail parameters every mode shares; returns tail_start, defaulted."""
-    if not (math.isfinite(epsilon) and epsilon >= 0.0):
-        raise DomainError(f"epsilon must be finite and >= 0, got {epsilon!r}")
+def _tail_start(horizon: int, tail_start: int | None) -> int:
+    """``tail_start``, defaulted, and checked to lie in 1..horizon."""
     if tail_start is None:
         return default_tail_start(horizon)
     if not 1 <= tail_start <= horizon:
@@ -133,12 +136,33 @@ def _check_tail_args(horizon: int, tail_start: int | None, epsilon: float) -> in
     return tail_start
 
 
-def _verdict(tail_sup: float, final_value: float, epsilon: float) -> str:
+def _checked_tail_start(c: Capacity, seq: FnSequence, epsilon: float, tail_start: int | None) -> int:
+    """The entry check every mode shares; returns tail_start, defaulted."""
+    _require_same_space(c, seq)
+    if not (math.isfinite(epsilon) and epsilon >= 0.0):
+        raise DomainError(f"epsilon must be finite and >= 0, got {epsilon!r}")
+    return _tail_start(seq.horizon, tail_start)
+
+
+def _survival(c: Capacity, seq: FnSequence, grid, tail_start: int) -> tuple[np.ndarray, np.ndarray]:
+    """mu({|f_n - f| >= t}) per term at the smallest grid threshold, and each threshold's tail supremum."""
+    surv = c.table[_level_masks(seq.residual_matrix(), grid)]
+    return surv[:, int(np.argmin(grid))], surv[tail_start - 1 :].max(axis=0)
+
+
+def _report(
+    mode: str, seq: FnSequence, epsilon: float, tail_start: int, per_n, tail_sup: float, per_t=None
+) -> ConvergenceReport:
+    """The report on witnesses ``per_n`` with tail supremum ``tail_sup``, under the module's verdict rule."""
+    per_n = tuple(map(float, per_n))
+    tail_sup = float(tail_sup)
     if tail_sup <= epsilon:
-        return "pass"
-    if final_value <= epsilon / 10.0:
-        return "inconclusive"
-    return "fail"
+        verdict = "pass"
+    elif per_n[-1] <= epsilon / 10.0:
+        verdict = "inconclusive"
+    else:
+        verdict = "fail"
+    return ConvergenceReport(mode, verdict, seq.horizon, epsilon, tail_start, tail_sup, per_n[-1], per_n, per_t)
 
 
 def check_in_capacity(
@@ -149,29 +173,15 @@ def check_in_capacity(
     tail_start: int | None = None,
 ) -> ConvergenceReport:
     """Tail check of mu({|f_n - f| >= t}) over a threshold grid in (0, 1]."""
-    _require_same_space(c, seq)
+    tail_start = _checked_tail_start(c, seq, epsilon, tail_start)
     grid = default_t_grid() if t_grid is None else np.asarray(t_grid, dtype=np.float64)
     if grid.ndim != 1 or grid.size == 0:
         raise BadGridError("t_grid must be a nonempty 1-d list of thresholds")
     if np.any(~((grid > 0.0) & (grid <= 1.0))):
         raise BadGridError("t_grid entries must lie in (0, 1]")
-    tail_start = _check_tail_args(seq.horizon, tail_start, epsilon)
-
-    surv = c.table[_level_masks(seq.residual_matrix(), grid)]
-    tail_sups = surv[tail_start - 1 :, :].max(axis=0)
-    binding = int(np.argmin(grid))
-    per_t = tuple((float(t), float(sup)) for t, sup in zip(grid, tail_sups))
-    return ConvergenceReport(
-        mode=MODE_IN_CAPACITY,
-        verdict=_verdict(float(tail_sups.max()), float(surv[-1, binding]), epsilon),
-        horizon=seq.horizon,
-        epsilon=epsilon,
-        tail_start=tail_start,
-        tail_sup=float(tail_sups.max()),
-        final_value=float(surv[-1, binding]),
-        per_n=tuple(float(v) for v in surv[:, binding]),
-        per_t=per_t,
-    )
+    per_n, tail_sups = _survival(c, seq, grid, tail_start)
+    per_t = tuple(zip(grid.tolist(), tail_sups.tolist()))
+    return _report(MODE_IN_CAPACITY, seq, epsilon, tail_start, per_n, tail_sups.max(), per_t)
 
 
 def check_strict(
@@ -180,21 +190,10 @@ def check_strict(
     epsilon: float = DEFAULT_EPSILON,
     tail_start: int | None = None,
 ) -> ConvergenceReport:
-    """Tail check of mu({|f_n - f| > 0})."""
-    _require_same_space(c, seq)
-    tail_start = _check_tail_args(seq.horizon, tail_start, epsilon)
-    values = c.table[_level_masks(seq.residual_matrix(), [_SMALLEST_POSITIVE])[:, 0]]
-    tail_sup = float(values[tail_start - 1 :].max())
-    return ConvergenceReport(
-        mode=MODE_STRICT,
-        verdict=_verdict(tail_sup, float(values[-1]), epsilon),
-        horizon=seq.horizon,
-        epsilon=epsilon,
-        tail_start=tail_start,
-        tail_sup=tail_sup,
-        final_value=float(values[-1]),
-        per_n=tuple(float(v) for v in values),
-    )
+    """Tail check of mu({|f_n - f| > 0}): the in-capacity check at the one threshold _SMALLEST_POSITIVE."""
+    tail_start = _checked_tail_start(c, seq, epsilon, tail_start)
+    per_n, tail_sups = _survival(c, seq, [_SMALLEST_POSITIVE], tail_start)
+    return _report(MODE_STRICT, seq, epsilon, tail_start, per_n, tail_sups.max())
 
 
 def check_in_mean(
@@ -205,20 +204,9 @@ def check_in_mean(
     tail_start: int | None = None,
 ) -> ConvergenceReport:
     """Tail check of the seminormed integral of |f_n - f|."""
-    _require_same_space(c, seq)
-    tail_start = _check_tail_args(seq.horizon, tail_start, epsilon)
+    tail_start = _checked_tail_start(c, seq, epsilon, tail_start)
     values = [integrate(s, c, residual(term, seq.limit)).value for term in seq.terms]
-    tail_sup = max(values[tail_start - 1 :])
-    return ConvergenceReport(
-        mode=MODE_IN_MEAN,
-        verdict=_verdict(tail_sup, values[-1], epsilon),
-        horizon=seq.horizon,
-        epsilon=epsilon,
-        tail_start=tail_start,
-        tail_sup=tail_sup,
-        final_value=values[-1],
-        per_n=tuple(values),
-    )
+    return _report(MODE_IN_MEAN, seq, epsilon, tail_start, values, max(values[tail_start - 1 :]))
 
 
 @dataclass(frozen=True, slots=True)

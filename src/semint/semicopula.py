@@ -26,6 +26,9 @@ AXIOM_TOL = 1e-12
 
 BUILTIN_KINDS = ("min", "product", "prodmax", "lukasiewicz")
 
+# entries per chunk in a table semicopula's evaluation: about 2 MiB of temporaries, whatever the size
+_TABLE_EVAL_CHUNK = 1 << 14
+
 
 @dataclass(frozen=True, slots=True, eq=False)
 class Semicopula:
@@ -120,24 +123,37 @@ class Semicopula:
         return self._table_eval(a, b)
 
     def _table_eval(self, a: np.ndarray, b: np.ndarray):
+        """Bilinear interpolation of the table, in chunks of ``_TABLE_EVAL_CHUNK`` entries.
+
+        The interpolation holds about fifteen temporaries per entry; chunked,
+        they stay within one chunk whatever the argument size.  Every entry
+        goes through the same operations in the same order, so the values do
+        not depend on the chunk size.
+        """
+        a, b = np.broadcast_arrays(a, b)
+        out = np.empty(a.shape)
+        flat_a, flat_b, flat_out = a.ravel(), b.ravel(), out.reshape(-1)
         res = self.resolution
         grid = self.grid
-        pa = a * res
-        pb = b * res
-        ia = np.minimum(pa.astype(np.int64), res - 1)
-        ib = np.minimum(pb.astype(np.int64), res - 1)
-        fa = pa - ia
-        fb = pb - ib
-        g00 = grid[ia, ib]
-        g10 = grid[ia + 1, ib]
-        g01 = grid[ia, ib + 1]
-        g11 = grid[ia + 1, ib + 1]
-        return (
-            g00 * (1.0 - fa) * (1.0 - fb)
-            + g10 * fa * (1.0 - fb)
-            + g01 * (1.0 - fa) * fb
-            + g11 * fa * fb
-        )
+        for start in range(0, flat_out.size, _TABLE_EVAL_CHUNK):
+            part = slice(start, start + _TABLE_EVAL_CHUNK)
+            pa = flat_a[part] * res
+            pb = flat_b[part] * res
+            ia = np.minimum(pa.astype(np.int64), res - 1)
+            ib = np.minimum(pb.astype(np.int64), res - 1)
+            fa = pa - ia
+            fb = pb - ib
+            g00 = grid[ia, ib]
+            g10 = grid[ia + 1, ib]
+            g01 = grid[ia, ib + 1]
+            g11 = grid[ia + 1, ib + 1]
+            flat_out[part] = (
+                g00 * (1.0 - fa) * (1.0 - fb)
+                + g10 * fa * (1.0 - fb)
+                + g01 * (1.0 - fa) * fb
+                + g11 * fa * fb
+            )
+        return out[()]  # a scalar for 0-d arguments, as numpy arithmetic gives
 
     def to_json_dict(self) -> dict:
         if self.kind in BUILTIN_KINDS:

@@ -414,13 +414,61 @@ def test_lattice_validation_lists_the_index_loops_witnesses(n):
         assert got == [("not-monotone", a, i) for a, i in ref_monotone_witnesses(n, table)]
 
 
-def test_distortion_peak_memory_stays_near_the_table():
-    base = random_capacity(FiniteSpace(18), np.random.default_rng(3))
-    g = np.concatenate(([0.0], np.sort(np.random.default_rng(4).random(63)), [1.0]))
+def peak_bytes(build) -> int:
     tracemalloc.start()
     try:
-        Capacity.from_distortion(base, g)
+        build()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 3 * base.table.nbytes
+    return peak
+
+
+def test_distortion_peak_memory_stays_near_the_table():
+    base = random_capacity(FiniteSpace(18), np.random.default_rng(3))
+    g = np.concatenate(([0.0], np.sort(np.random.default_rng(4).random(63)), [1.0]))
+    assert peak_bytes(lambda: Capacity.from_distortion(base, g)) < 3 * base.table.nbytes
+
+
+def test_builders_hand_their_fresh_table_over_without_a_copy():
+    space = FiniteSpace(18)
+    base = random_capacity(space, np.random.default_rng(3))
+    g = np.concatenate(([0.0], np.sort(np.random.default_rng(4).random(63)), [1.0]))
+    assert peak_bytes(lambda: random_capacity(space, np.random.default_rng(5))) < 1.75 * base.table.nbytes
+    assert peak_bytes(lambda: Capacity.from_distortion(base, g)) < 1.75 * base.table.nbytes
+
+
+def test_from_table_copies_what_the_caller_can_still_write():
+    table = np.array([0.0, 0.6, 0.4, 1.0])
+    frozen_view = table[:]
+    frozen_view.setflags(write=False)
+    for values in (table, frozen_view, table.tolist()):
+        c = Capacity.from_table(FiniteSpace(2), values)
+        table[1] = 0.7
+        assert c.measure(1) == 0.6
+        table[1] = 0.6
+    owned = table.copy()
+    owned.setflags(write=False)
+    assert Capacity.from_table(FiniteSpace(2), owned).table is owned
+
+
+@pytest.mark.parametrize("fix_boundaries", [False, True])
+def test_from_table_error_is_the_first_listed_violation_and_costs_one(fix_boundaries):
+    space = FiniteSpace(16)
+    table = np.random.default_rng(8).random(space.num_subsets)
+    if fix_boundaries:
+        table[0], table[-1] = 0.0, 1.0
+    violations = validate_table(space, table)
+    first = violations[0]
+    assert first.kind == ("not-monotone" if fix_boundaries else "not-normalized")
+    with pytest.raises((NotNormalizedError, NotMonotoneError)) as err:
+        Capacity.from_table(space, table)
+    assert str(err.value) == f"{first.message} ({len(violations)} violation(s) total)"
+    assert getattr(err.value, "mask", None) == (first.mask if fix_boundaries else None)
+    assert getattr(err.value, "element", None) == first.element
+
+    def build():
+        with pytest.raises((NotNormalizedError, NotMonotoneError)):
+            Capacity.from_table(space, table)
+
+    assert peak_bytes(build) < 8 * table.nbytes

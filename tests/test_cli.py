@@ -156,6 +156,14 @@ def test_check_capacity_valid_kinds_exit_zero():
         assert json.loads(proc.stdout)["valid"] is True
 
 
+def test_check_capacity_table_n_must_match_the_space():
+    doc = {"space": {"n": 2}, "capacity": {"kind": "table", "n": 3, "values": [0, 0.5, 0.5, 1]}}
+    proc = run_cli("check-capacity", "-", stdin=json.dumps(doc).encode())
+    assert proc.returncode == 2 and proc.stdout == b""
+    err = strict_json(proc.stderr)
+    assert err["code"] == "schema" and err["location"] == "/capacity/n"
+
+
 def test_check_capacity_constructor_violation_exits_one():
     doc = {"kind": "possibility", "weights": [0.4, 0.9]}
     proc = run_cli("check-capacity", "-", stdin=json.dumps(doc).encode())
@@ -315,6 +323,21 @@ def test_counterexample_bad_epsilon_exits_two_with_strict_json(theorem, epsilon)
     proc = run_cli("counterexample", "--theorem", theorem, f"--epsilon={epsilon}")
     assert proc.returncode == 2 and proc.stdout == b""
     assert strict_json(proc.stderr)["code"] == "domain"
+
+
+def test_counterexample_tail_start_beyond_the_horizon_exits_two():
+    proc = run_cli("counterexample", "--theorem", "1", "--tail-start", "99")
+    assert proc.returncode == 2 and proc.stdout == b""
+    err = strict_json(proc.stderr)
+    assert err["code"] == "domain" and "1..50" in err["message"]
+
+
+@pytest.mark.parametrize("tail_start", [0, 11])
+def test_converge_tail_start_outside_the_horizon_is_located(tmp_path, tail_start):
+    proc = run_cli("converge", write(tmp_path, "t.json", converge_instance(horizon=10, tail_start=tail_start)))
+    assert proc.returncode == 2 and proc.stdout == b""
+    err = strict_json(proc.stderr)
+    assert err["code"] == "schema" and err["location"] == "/params/tail_start"
 
 
 def test_audit_negative_cases_exits_two():

@@ -131,6 +131,28 @@ def test_strict_stationary_passes():
     assert check_strict(UNIFORM, stationary_seq(), 0.0).verdict == "pass"
 
 
+def test_strict_is_in_capacity_at_the_smallest_positive_double():
+    rng = np.random.default_rng(17)
+    for case in range(60):
+        space = FiniteSpace(int(rng.integers(1, 7)))
+        if case % 2:
+            c = random_capacity(space, rng)
+        else:  # built directly, so neither monotone nor normalized
+            c = Capacity(space, rng.choice([0.0, 0.3, 1.0, rng.random()], size=space.num_subsets))
+        pool = [0.0, 5e-324, 1e-310, 0.5, 1.0, rng.random()]
+        limit = MeasurableFn(space, rng.choice(pool, size=space.size))
+        horizon = int(rng.integers(1, 12))
+        terms = tuple(MeasurableFn(space, rng.choice(pool, size=space.size)) for _ in range(horizon))
+        seq = FnSequence(space, terms, limit)
+        epsilon = float(rng.choice([0.0, 0.05, 0.5]))
+        tail_start = int(rng.integers(1, horizon + 1))
+        strict = check_strict(c, seq, epsilon, tail_start).to_json_dict()
+        at_one_t = check_in_capacity(c, seq, [5e-324], epsilon, tail_start).to_json_dict()
+        assert at_one_t.pop("witnesses_by_t") == [{"t": 5e-324, "tail_sup": strict["tail_sup"]}]
+        assert (strict.pop("mode"), at_one_t.pop("mode")) == ("strict", "in-capacity")
+        assert strict == at_one_t
+
+
 def test_strict_shrinking_support_passes_at_zero():
     space = FiniteSpace(4)
     c = Capacity.from_additive(space, [0.25] * 4)

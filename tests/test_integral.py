@@ -163,7 +163,7 @@ def test_grid_profile_reports_the_first_attaining_threshold():
 def test_oracle_peak_memory_is_bounded_at_two_million_points():
     c = rng_capacity(1, 16)
     f = MeasurableFn(c.space, np.random.default_rng(2).random(16))
-    for s in BUILTINS:
+    for s in BUILTINS + (Semicopula.from_function(lambda a, b: a * b, 10),):
         tracemalloc.start()
         try:
             integrate_grid_oracle(s, c, f, 2_000_000)

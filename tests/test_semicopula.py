@@ -223,3 +223,19 @@ def test_json_round_trip_table():
 
 def test_axiom_tolerance_is_tight():
     assert AXIOM_TOL == 1e-12
+
+
+def test_table_chunks_match_one_whole_pass(monkeypatch):
+    import semint.semicopula as semicopula
+
+    t = Semicopula.from_grid(np.random.default_rng(2).random((8, 8)))
+    rng = np.random.default_rng(3)
+    a, b = rng.choice([0.0, 0.5, 1.0, rng.random()], size=(2, 37, 3))
+    col, row = rng.random((5, 1)), rng.random((1, 4))
+    monkeypatch.setattr(semicopula, "_TABLE_EVAL_CHUNK", 1 << 30)
+    whole = [t.evaluate(a, b), t.evaluate(col, row), t.evaluate(0.3, 0.7)]
+    for chunk in (1, 7, 64):
+        monkeypatch.setattr(semicopula, "_TABLE_EVAL_CHUNK", chunk)
+        parts = [t.evaluate(a, b), t.evaluate(col, row), t.evaluate(0.3, 0.7)]
+        assert [np.asarray(x).tobytes() for x in parts] == [np.asarray(x).tobytes() for x in whole]
+        assert parts[0].shape == (37, 3) and parts[1].shape == (5, 4)
