@@ -4,14 +4,21 @@ Ground-set points are ``0 .. n-1`` and subsets are n-bit masks, so a capacity
 is a dense table of ``2**n`` values indexed by mask.  The table representation
 keeps validation total and exact; it caps the ground set at 24 points.
 
-Every full-table pass is one strided lattice scan, ``_lattice_pairs``: for
-each point ``i`` the table is viewed as ``table.reshape(-1, 2, 1 << i)``, whose
-two middle slices pair every mask without ``i`` (``lo``) with the mask that
-adds ``i`` (``hi``).  This is the in-place layout of the fast zeta/Moebius
+Every full-table pass that pairs masks is one strided lattice scan,
+``_lattice_pairs``: for each point ``i`` the table is viewed as
+``table.reshape(-1, 2, 1 << i)``, whose two middle slices pair every mask
+without ``i`` (``lo``) with the mask that adds ``i`` (``hi``).  This is the in-place layout of the fast zeta/Moebius
 transform (Kennes & Smets, UAI 1990; Grabisch, *Set Functions, Games and
-Capacities in Decision Making*, 2016): the possibility, additive and random
-builders write ``hi`` from ``lo`` in place, one point at a time, and
-``validate_table`` compares the two views.  No index arrays are built.
+Capacities in Decision Making*, 2016): the random builder writes ``hi`` from
+``lo`` in place, one point at a time, and ``validate_table`` compares the two
+views.  No index arrays are built.
+
+The possibility and additive builders need no pairing: they fill the table
+by prefix doubling, ``_doubling_table``.  The masks in ``[2**i, 2**(i+1))`` are
+``2**i`` plus a mask below ``2**i``, so one slice operation per point writes
+them from the prefix already filled: ``2**n`` work in all, against
+``n * 2**(n-1)`` for a lattice scan.  Every entry applies its points' weights
+lowest point first, as a lattice scan does, so both give the same bits.
 
 Monotonicity is validated with the single-element increment scan: for every
 mask ``A`` and every point ``i`` outside ``A``, require
@@ -193,6 +200,20 @@ def _lattice_pairs(table: np.ndarray, points: int):
         yield i, pairs[:, 0, :], pairs[:, 1, :]
 
 
+def _doubling_table(w: np.ndarray, op) -> np.ndarray:
+    """Table with mu(empty) = 0 and mu(A + {i}) = op(mu(A), w[i]) for every mask ``A`` below ``2**i``.
+
+    Points go in increasing order, each writing the slice ``[2**i, 2**(i+1))``
+    from the prefix ``[0, 2**i)``, so a mask's entry applies its points'
+    weights lowest point first.
+    """
+    table = np.empty(1 << w.size)
+    table[0] = 0.0
+    for i in range(w.size):
+        op(table[: 1 << i], w[i], out=table[1 << i : 2 << i])
+    return table
+
+
 @dataclass(frozen=True, slots=True, eq=False)
 class Capacity:
     """A monotone set function with mu(empty) = 0 and mu(X) = 1, stored densely."""
@@ -248,10 +269,7 @@ class Capacity:
             raise DomainError("possibility weights must lie in [0,1]")
         if not np.any(w == 1.0):
             raise MaxNotOneError(f"max weight is {float(w.max())!r}, expected exactly 1")
-        table = np.zeros(space.num_subsets)
-        for i, lo, hi in _lattice_pairs(table, space.size):
-            np.maximum(lo, w[i], out=hi)
-        return cls(space, table)
+        return cls(space, _doubling_table(w, np.maximum))
 
     @classmethod
     def from_additive(cls, space: FiniteSpace, weights: Sequence[float]) -> "Capacity":
@@ -274,9 +292,7 @@ class Capacity:
             raise BadWeightsError("additive weights sum to zero")
         if abs(total - 1.0) > _WEIGHT_SUM_TOL:
             raise BadWeightsError(f"additive weights sum to {total!r}, expected 1 within 1e-9")
-        table = np.zeros(space.num_subsets)
-        for i, lo, hi in _lattice_pairs(table, space.size):
-            np.add(lo, w[i], out=hi)
+        table = _doubling_table(w, np.add)
         table /= table[-1]
         table[0] = 0.0
         table[-1] = 1.0

@@ -46,7 +46,11 @@ DEFAULT_HORIZON = 50
 
 
 def _fmt_float(x: float) -> str:
-    return format(float(x), ".17g")
+    """17 significant digits; NaN and +-inf have no JSON spelling, so they are refused."""
+    x = float(x)
+    if not math.isfinite(x):
+        raise DomainError(f"cannot serialize the non-finite number {x!r} as JSON")
+    return format(x, ".17g")
 
 
 def canonical_json(doc) -> str:

@@ -9,9 +9,17 @@ argument, so the supremum over each such interval sits at the right endpoint;
 below the smallest value the survival is mu(X) = 1 and ``S(t, 1) = t`` climbs
 to that smallest value; above the largest value the level set is empty and
 ``S(t, 0) = 0``.  The candidate scan over the distinct values is therefore
-exact, not an approximation.  ``integrate_grid_oracle`` is the direct
-transcription of the supremum onto a dense threshold grid, kept solely to
-cross-check that claim; it can only undershoot.
+exact, not an approximation.
+
+The level sets of all candidates come from one pass over the points in
+descending value order (the permutation form of the Sugeno integral; Sugeno
+1974, Grabisch & Labreuche, *4OR* 2008): each point ORs its bit into a
+running mask, and the mask at the end of each run of equal values is the
+level set of that value.  The sort makes that O(n log n) per integral.
+Ties between candidates go to the smallest attaining threshold.
+``integrate_grid_oracle`` is the direct transcription of the supremum onto a
+dense threshold grid, kept solely to cross-check the exact value; it can only
+undershoot.
 """
 
 from __future__ import annotations
@@ -48,28 +56,36 @@ class IntegralResult:
 
 
 def integrate(s: Semicopula, c: Capacity, f: MeasurableFn) -> IntegralResult:
-    """Exact integral via the candidate scan over the distinct values of f.
+    """Exact integral from one stable descending pass over the points of f.
 
-    All comparisons in the scan are exact; candidates are evaluated at the
-    stored double values, so no tolerance is involved.
+    A tie run's value is its first entry in index order, so ``-0.0`` and
+    ``0.0`` resolve as a set of the values would.  Candidates are evaluated
+    in ascending order with a strict ``>``, which keeps the smallest
+    attaining threshold.  All comparisons are exact and candidates are
+    evaluated at the stored double values, so no tolerance is involved.
     """
     _require_same_space(c, f)
     table = c.table
     values = f.values.tolist()
-    n = len(values)
-    candidates = sorted(set(values))
+    chain = []  # (value, mask of {f >= value}) at the end of each tie run, in descending value order
+    order = sorted(range(len(values)), key=values.__getitem__, reverse=True)
+    mask = 0
+    run = values[order[0]]
+    for i in order:
+        v = values[i]
+        if v != run:
+            chain.append((run, mask))
+            run = v
+        mask |= 1 << i
+    chain.append((run, mask))
     best = -1.0
     best_t = 0.0
-    for v in candidates:
-        mask = 0
-        for i in range(n):
-            if values[i] >= v:
-                mask |= 1 << i
-        val = s.evaluate(v, float(table[mask]))
+    for v, level in reversed(chain):
+        val = s.evaluate(v, table.item(level))
         if val > best:
             best = val
             best_t = v
-    return IntegralResult(float(best), float(best_t), len(candidates))
+    return IntegralResult(float(best), float(best_t), len(chain))
 
 
 def _grid_profile(s: Semicopula, c: Capacity, f: MeasurableFn, grid_points: int) -> tuple[float, float]:

@@ -28,14 +28,16 @@ class MeasurableFn:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=np.float64)
+        values = np.array(self.values, dtype=np.float64)  # a copy: the caller's array stays theirs
         if values.shape != (self.space.size,):
             raise DomainError(
                 f"function over a {self.space.size}-point space needs {self.space.size} "
                 f"values, got shape {values.shape}"
             )
-        if np.any(~((values >= 0.0) & (values <= 1.0))):
-            raise DomainError("function values must lie in [0,1]")
+        # at most 24 values: a Python loop beats numpy's per-call overhead; NaN fails both comparisons
+        for v in values.tolist():
+            if not 0.0 <= v <= 1.0:
+                raise DomainError("function values must lie in [0,1]")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
@@ -54,7 +56,7 @@ class MeasurableFn:
 
 
 def _require_same_space(a, b) -> None:
-    if a.space != b.space:
+    if a.space is not b.space and a.space != b.space:
         raise SpaceMismatchError(f"spaces differ: {a.space.size} vs {b.space.size} points")
 
 

@@ -19,6 +19,7 @@ from semint import (
     random_capacity,
     validate_table,
 )
+from semint.capacity import _lattice_pairs
 
 
 def popcount(mask: int) -> int:
@@ -394,6 +395,31 @@ def test_lattice_builders_match_index_loops_bit_for_bit(n):
     for seed in (0, n, 2**40 + n):
         got = random_capacity(space, np.random.default_rng(seed)).table
         assert bit_equal(got, ref_random_table(n, np.random.default_rng(seed)))
+
+
+def ref_lattice_pairs_build(n: int, op, w: np.ndarray) -> np.ndarray:
+    """The in-place lattice scan the possibility and additive builders used before prefix doubling."""
+    table = np.zeros(1 << n)
+    for i, lo, hi in _lattice_pairs(table, n):
+        op(lo, w[i], out=hi)
+    return table
+
+
+@pytest.mark.parametrize("n", [*range(1, 15), 18])
+def test_prefix_doubling_builders_match_the_lattice_scan_bit_for_bit(n):
+    space = FiniteSpace(n)
+    rng = np.random.default_rng([n, 13])
+    w = rng.random(n) + 0.05
+    w = w / w.sum()
+    want = ref_lattice_pairs_build(n, np.add, w)
+    want = want / want[-1]
+    want[0], want[-1] = 0.0, 1.0
+    assert bit_equal(Capacity.from_additive(space, w).table, want)
+
+    for p in (rng.random(n), np.where(rng.random(n) < 0.5, -0.0, rng.random(n))):
+        p[int(rng.integers(n))] = 1.0
+        want = ref_lattice_pairs_build(n, np.maximum, p)
+        assert bit_equal(Capacity.from_possibility(space, p).table, want)
 
 
 @pytest.mark.parametrize("n", range(1, 13))

@@ -1,12 +1,14 @@
 import json
+import math
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+from semint import DomainError, cli
 from semint.cli import _parse_point_instance, canonical_json
-from semint.integral import _grid_profile
+from semint.integral import IntegralResult, _grid_profile
 
 INSTANCE = {
     "space": {"n": 4},
@@ -399,6 +401,20 @@ def test_canonical_json_formats_17_digits():
     assert canonical_json([True, None, 3]) == "[true,null,3]\n"
     back = json.loads(canonical_json({"x": 0.1 + 0.2}))
     assert back["x"] == 0.1 + 0.2  # lossless round-trip
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float64("nan"), np.float64("-inf")])
+def test_canonical_json_refuses_non_finite_floats(bad):
+    with pytest.raises(DomainError, match="non-finite"):
+        canonical_json({"report": {"values": [0.5, bad]}})
+
+
+def test_a_non_finite_report_value_exits_two_with_strict_json(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "integrate", lambda s, c, f: IntegralResult(math.nan, 0.5, 4))
+    assert cli.run(["integrate", write(tmp_path, "i.json", INSTANCE)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert strict_json(err)["code"] == "domain"
 
 
 # ---------------------------------------------------------------------------

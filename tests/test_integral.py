@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -253,3 +254,101 @@ def test_value_stays_in_unit_interval(values, seed):
     f = MeasurableFn(SPACE4, values)
     for s in BUILTINS:
         assert 0.0 <= integrate(s, c, f).value <= 1.0
+
+
+# ---------------------------------------------------------------------------
+# the one-pass chain against the candidate scan it replaced
+
+
+def ref_integrate(s, c, f):
+    """The scan integrate used before the one-pass chain: every candidate's mask rebuilt from all points."""
+    table = c.table
+    values = f.values.tolist()
+    n = len(values)
+    candidates = sorted(set(values))
+    best = -1.0
+    best_t = 0.0
+    for v in candidates:
+        mask = 0
+        for i in range(n):
+            if values[i] >= v:
+                mask |= 1 << i
+        val = s.evaluate(v, float(table[mask]))
+        if val > best:
+            best = val
+            best_t = v
+    return float(best), float(best_t), len(candidates)
+
+
+SPECIALS = (0.0, -0.0, 1.0, 5e-324)
+CHAIN_KINDS = BUILTINS + (Semicopula.from_function(lambda a, b: a * b * (2.0 - max(a, b)), 7),)
+
+
+def chain_rows(n: int, rows: int, rng: np.random.Generator) -> np.ndarray:
+    """Rows of n values: all distinct, drawn from a few values (ties), or mixed with the specials."""
+    out = rng.random((rows, n))
+    for r in range(rows):
+        pool = np.concatenate((SPECIALS, rng.random(int(rng.integers(1, 4)))))
+        if r % 3 == 1:
+            out[r] = rng.choice(pool, n)
+        elif r % 3 == 2:
+            hits = rng.random(n) < 0.4
+            out[r, hits] = rng.choice(pool, int(hits.sum()))
+    return out
+
+
+def same_bytes(a: float, b: float) -> bool:
+    return a.hex() == b.hex()  # tells -0.0 from 0.0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6, 12, 16, 24])
+def test_one_pass_chain_matches_the_candidate_scan_bit_for_bit(n):
+    rng = np.random.default_rng([n, 21])
+    space = FiniteSpace(n)
+    if n <= 16:
+        c = random_capacity(space, rng)
+    else:  # the additive builder is the cheapest 2**24-entry table, and its values are distinct
+        w = rng.random(n) + 0.05
+        c = Capacity.from_additive(space, w / w.sum())
+    for row in chain_rows(n, 60 if n < 24 else 12, rng):
+        f = MeasurableFn(space, row)
+        for s in CHAIN_KINDS:
+            got = integrate(s, c, f)
+            value, argmax, candidates = ref_integrate(s, c, f)
+            assert same_bytes(got.value, value), (s.kind, row.tolist())
+            assert same_bytes(got.argmax_threshold, argmax), (s.kind, row.tolist())
+            assert got.candidates_inspected == candidates
+
+
+def test_zero_sign_of_the_argmax_is_the_first_in_index_order():
+    c = Capacity.from_additive(FiniteSpace(3), [0.5, 0.25, 0.25])
+    for values in ([-0.0, 0.0, 0.0], [0.0, -0.0, -0.0], [0.0, 0.0, -0.0]):
+        r = integrate(MIN, c, MeasurableFn(c.space, values))
+        assert same_bytes(r.argmax_threshold, values[0])
+        assert r.candidates_inspected == 1
+
+
+@pytest.mark.parametrize("bad", [2.0, math.nan, -0.5, math.inf])
+def test_bad_direct_tables_raise_the_candidate_scans_first_error(bad):
+    space = FiniteSpace(6)
+    rng = np.random.default_rng(31)
+    base = random_capacity(space, rng).table
+    raised = 0
+    for trial, row in enumerate(chain_rows(space.size, 40, rng)):
+        table = base.copy()
+        table[rng.integers(0, space.num_subsets, 1 + trial % 5)] = bad
+        c = Capacity(space, table)  # direct construction checks only the shape
+        f = MeasurableFn(space, row)
+        for s in CHAIN_KINDS:
+            try:
+                want = ref_integrate(s, c, f)
+            except DomainError as e:
+                with pytest.raises(DomainError) as err:
+                    integrate(s, c, f)
+                assert str(err.value) == str(e)
+                raised += 1
+                continue
+            got = integrate(s, c, f)
+            assert same_bytes(got.value, want[0]) and same_bytes(got.argmax_threshold, want[1])
+            assert got.candidates_inspected == want[2]
+    assert raised > 0

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -49,6 +51,30 @@ def test_constant_and_indicator_helpers():
 def test_values_read_only():
     with pytest.raises(ValueError):
         STEPS.values[0] = 0.9
+
+
+def test_construction_copies_the_callers_array():
+    values = np.array([0.25, 0.5, 0.75, 1.0])
+    f = MeasurableFn(SPACE4, values)
+    assert values.flags.writeable
+    values[0] = 0.9
+    assert f.values.tolist() == [0.25, 0.5, 0.75, 1.0]
+
+
+@pytest.mark.parametrize(
+    "special", [math.nan, math.inf, -math.inf, -0.0, 0.0, 1.0, math.nextafter(1.0, 2.0), -5e-324, 5e-324]
+)
+def test_range_check_matches_the_array_test(special):
+    for position in (0, 2, 3):
+        values = np.array([0.25, 0.5, 0.75, 1.0])
+        values[position] = special
+        in_range = not np.any(~((values >= 0.0) & (values <= 1.0)))  # the numpy test the Python loop replaced
+        if in_range:
+            assert MeasurableFn(SPACE4, values).values.tobytes() == values.tobytes()
+        else:
+            with pytest.raises(DomainError) as err:
+                MeasurableFn(SPACE4, values)
+            assert str(err.value) == "function values must lie in [0,1]"
 
 
 # ---------------------------------------------------------------------------
