@@ -186,6 +186,24 @@ def _dense_table(space: FiniteSpace, values: Sequence[float] | np.ndarray) -> np
     return table
 
 
+def _kept_table(values: Sequence[float] | np.ndarray) -> np.ndarray:
+    """``values`` if it is a read-only float64 array that owns its memory, else a read-only float64 copy.
+
+    Nothing can write to such an array, so a capacity may keep it as it is;
+    anything else the caller could still change, so the capacity keeps a copy.
+    """
+    if (
+        type(values) is np.ndarray
+        and values.dtype == np.float64
+        and values.base is None
+        and not values.flags.writeable
+    ):
+        return values
+    table = np.array(values, dtype=np.float64)
+    table.setflags(write=False)
+    return table
+
+
 def _lattice_pairs(table: np.ndarray, points: int):
     """Yield ``(i, lo, hi)`` for each point ``i``: views of ``table`` pairing mask A with A + {i}.
 
@@ -216,15 +234,19 @@ def _doubling_table(w: np.ndarray, op) -> np.ndarray:
 
 @dataclass(frozen=True, slots=True, eq=False)
 class Capacity:
-    """A monotone set function with mu(empty) = 0 and mu(X) = 1, stored densely."""
+    """A monotone set function with mu(empty) = 0 and mu(X) = 1, stored densely.
+
+    The capacity keeps ``table`` as it is if it is a read-only float64 array
+    that owns its memory, and a read-only copy of anything else, so the
+    caller's array stays writable.  Direct construction checks only the
+    table's shape; ``from_table`` checks the axioms.
+    """
 
     space: FiniteSpace
     table: np.ndarray
 
     def __post_init__(self) -> None:
-        table = _dense_table(self.space, self.table)
-        table.setflags(write=False)
-        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "table", _dense_table(self.space, _kept_table(self.table)))
 
     def measure(self, mask: int) -> float:
         """Value of the capacity at the subset encoded by ``mask``."""
@@ -235,17 +257,9 @@ class Capacity:
         """Build a capacity from a dense table, rejecting any axiom violation.
 
         The error reports the first violation ``validate_table`` lists and the
-        total count.  The capacity keeps a copy of ``values``, unless ``values``
-        is a read-only float64 array that owns its memory: nothing can write to
-        that one, so it is kept as it is.
+        total count.  The table is kept as the constructor keeps it.
         """
-        frozen = (
-            type(values) is np.ndarray
-            and values.dtype == np.float64
-            and values.base is None
-            and not values.flags.writeable
-        )
-        table = values if frozen else np.array(values, dtype=np.float64)
+        table = _kept_table(values)
         token = _raise_first.set(True)
         try:
             validate_table(space, table)
@@ -269,7 +283,9 @@ class Capacity:
             raise DomainError("possibility weights must lie in [0,1]")
         if not np.any(w == 1.0):
             raise MaxNotOneError(f"max weight is {float(w.max())!r}, expected exactly 1")
-        return cls(space, _doubling_table(w, np.maximum))
+        table = _doubling_table(w, np.maximum)
+        table.setflags(write=False)  # a fresh table nobody else holds: the constructor need not copy it
+        return cls(space, table)
 
     @classmethod
     def from_additive(cls, space: FiniteSpace, weights: Sequence[float]) -> "Capacity":
@@ -296,6 +312,7 @@ class Capacity:
         table /= table[-1]
         table[0] = 0.0
         table[-1] = 1.0
+        table.setflags(write=False)  # a fresh table nobody else holds: the constructor need not copy it
         return cls(space, table)
 
     @classmethod
@@ -316,7 +333,7 @@ class Capacity:
         if np.any(np.diff(samples) < 0.0):
             raise BadDistortionError("distortion samples must be non-decreasing")
         table = _interp_monotone(samples, base.table)
-        table.setflags(write=False)  # a fresh table nobody else holds: from_table need not copy it
+        table.setflags(write=False)  # a fresh table nobody else holds: the constructor need not copy it
         return cls.from_table(base.space, table)
 
     def to_json_dict(self) -> dict:
@@ -356,5 +373,5 @@ def random_capacity(space: FiniteSpace, rng: np.random.Generator) -> Capacity:
         np.maximum(hi, lo, out=hi)
     table[0] = 0.0
     table[-1] = 1.0
-    table.setflags(write=False)  # a fresh table nobody else holds: from_table need not copy it
+    table.setflags(write=False)  # a fresh table nobody else holds: the constructor need not copy it
     return Capacity.from_table(space, table)

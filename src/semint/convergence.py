@@ -6,6 +6,10 @@ Three modes are checked for a truncated sequence (f_n) with limit candidate f:
 * strictly:      mu({|f_n - f| > 0}) -> 0
 * in mean:       the seminormed integral of |f_n - f| -> 0
 
+A sequence computes its residuals |f_n - f| once, on its first in-mean
+check, and keeps them: every later in-mean check on the same sequence (one
+per semicopula, say) integrates the same residual functions.
+
 A limit over n is not machine-checkable, so a verdict here means: beyond
 ``tail_start`` the witnessed quantity stays within ``epsilon`` over the
 available horizon.  Reports carry (horizon, epsilon, tail_start) and the full
@@ -36,7 +40,7 @@ from __future__ import annotations
 
 import math
 from contextvars import ContextVar
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -72,6 +76,9 @@ class FnSequence:
     terms: tuple[MeasurableFn, ...]
     limit: MeasurableFn
     provenance: str = ""
+    # |f_n - f| per term, built on first use by _residuals and shared by every in-mean check;
+    # two threads racing on a fresh sequence both build equal tuples, and either may be kept
+    _residuals: tuple[MeasurableFn, ...] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.terms:
@@ -150,6 +157,13 @@ def _survival(c: Capacity, seq: FnSequence, grid, tail_start: int) -> tuple[np.n
     return surv[:, int(np.argmin(grid))], surv[tail_start - 1 :].max(axis=0)
 
 
+def _residuals(seq: FnSequence) -> tuple[MeasurableFn, ...]:
+    """The residuals |f_n - f| of ``seq``, one ``residual`` call per term over the sequence's life."""
+    if seq._residuals is None:
+        object.__setattr__(seq, "_residuals", tuple(residual(term, seq.limit) for term in seq.terms))
+    return seq._residuals
+
+
 def _report(
     mode: str, seq: FnSequence, epsilon: float, tail_start: int, per_n, tail_sup: float, per_t=None
 ) -> ConvergenceReport:
@@ -203,9 +217,9 @@ def check_in_mean(
     epsilon: float = DEFAULT_EPSILON,
     tail_start: int | None = None,
 ) -> ConvergenceReport:
-    """Tail check of the seminormed integral of |f_n - f|."""
+    """Tail check of the seminormed integral of |f_n - f|, over the residuals the sequence keeps."""
     tail_start = _checked_tail_start(c, seq, epsilon, tail_start)
-    values = [integrate(s, c, residual(term, seq.limit)).value for term in seq.terms]
+    values = [integrate(s, c, r).value for r in _residuals(seq)]
     return _report(MODE_IN_MEAN, seq, epsilon, tail_start, values, max(values[tail_start - 1 :]))
 
 

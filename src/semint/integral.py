@@ -31,7 +31,7 @@ import numpy as np
 from semint.capacity import Capacity
 from semint.errors import DomainError
 from semint.measurable import MeasurableFn, _level_masks, _require_same_space
-from semint.semicopula import MIN, PRODUCT, Semicopula
+from semint.semicopula import _SCALAR_FORMULAS, MIN, PRODUCT, Semicopula
 
 
 @dataclass(frozen=True, slots=True)
@@ -63,6 +63,9 @@ def integrate(s: Semicopula, c: Capacity, f: MeasurableFn) -> IntegralResult:
     in ascending order with a strict ``>``, which keeps the smallest
     attaining threshold.  All comparisons are exact and candidates are
     evaluated at the stored double values, so no tolerance is involved.
+    Each candidate's capacity value gets the range check
+    ``Semicopula.evaluate`` makes, with the same error; then a builtin's
+    formula is called directly on the two floats, and a table's ``evaluate``.
     """
     _require_same_space(c, f)
     table = c.table
@@ -80,8 +83,12 @@ def integrate(s: Semicopula, c: Capacity, f: MeasurableFn) -> IntegralResult:
     chain.append((run, mask))
     best = -1.0
     best_t = 0.0
+    formula = _SCALAR_FORMULAS.get(s.kind, s.evaluate)
     for v, level in reversed(chain):
-        val = s.evaluate(v, table.item(level))
+        m = table.item(level)  # v is a value of f, so in [0,1]; a directly built table's m may not be
+        if not 0.0 <= m <= 1.0:
+            raise DomainError(f"arguments ({v!r}, {m!r}) outside [0,1]^2")
+        val = formula(v, m)
         if val > best:
             best = val
             best_t = v

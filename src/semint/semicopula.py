@@ -30,6 +30,36 @@ BUILTIN_KINDS = ("min", "product", "prodmax", "lukasiewicz")
 _TABLE_EVAL_CHUNK = 1 << 14
 
 
+def _min(a: float, b: float) -> float:
+    return a if a <= b else b
+
+
+def _product(a: float, b: float) -> float:
+    return a * b
+
+
+def _prodmax(a: float, b: float) -> float:
+    return a * b * (a if a >= b else b)
+
+
+def _lukasiewicz(a: float, b: float) -> float:
+    if b == 1.0:
+        return a
+    if a == 1.0:
+        return b
+    s = a + b - 1.0
+    return s if s > 0.0 else 0.0
+
+
+# each builtin's formula on two Python floats already checked to lie in [0,1]
+_SCALAR_FORMULAS: dict[str, Callable[[float, float], float]] = {
+    "min": _min,
+    "product": _product,
+    "prodmax": _prodmax,
+    "lukasiewicz": _lukasiewicz,
+}
+
+
 @dataclass(frozen=True, slots=True, eq=False)
 class Semicopula:
     """A builtin aggregation, or a table over an (n+1) x (n+1) uniform lattice.
@@ -50,7 +80,7 @@ class Semicopula:
             return
         if self.kind != "table":
             raise DomainError(f"unknown semicopula kind {self.kind!r}")
-        grid = np.asarray(self.grid, dtype=np.float64)
+        grid = np.array(self.grid, dtype=np.float64)  # a copy: the caller's array stays theirs
         if grid.ndim != 2 or grid.shape[0] != grid.shape[1] or grid.shape[0] < 2:
             raise DomainError(f"table grid must be square with side >= 2, got {grid.shape}")
         res = grid.shape[0] - 1
@@ -87,20 +117,9 @@ class Semicopula:
             b = float(b)
             if not (0.0 <= a <= 1.0 and 0.0 <= b <= 1.0):
                 raise DomainError(f"arguments ({a!r}, {b!r}) outside [0,1]^2")
-            kind = self.kind
-            if kind == "min":
-                return a if a <= b else b
-            if kind == "product":
-                return a * b
-            if kind == "prodmax":
-                return a * b * (a if a >= b else b)
-            if kind == "lukasiewicz":
-                if b == 1.0:
-                    return a
-                if a == 1.0:
-                    return b
-                s = a + b - 1.0
-                return s if s > 0.0 else 0.0
+            formula = _SCALAR_FORMULAS.get(self.kind)
+            if formula is not None:
+                return formula(a, b)
             return float(self._table_eval(np.asarray(a), np.asarray(b)))
         return self._evaluate_array(np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64))
 

@@ -460,22 +460,27 @@ def test_builders_hand_their_fresh_table_over_without_a_copy():
     space = FiniteSpace(18)
     base = random_capacity(space, np.random.default_rng(3))
     g = np.concatenate(([0.0], np.sort(np.random.default_rng(4).random(63)), [1.0]))
+    w = np.random.default_rng(7).random(18)
     assert peak_bytes(lambda: random_capacity(space, np.random.default_rng(5))) < 1.75 * base.table.nbytes
     assert peak_bytes(lambda: Capacity.from_distortion(base, g)) < 1.75 * base.table.nbytes
+    assert peak_bytes(lambda: Capacity.from_possibility(space, w / w.max())) < 1.75 * base.table.nbytes
+    assert peak_bytes(lambda: Capacity.from_additive(space, w / w.sum())) < 1.75 * base.table.nbytes
 
 
 def test_from_table_copies_what_the_caller_can_still_write():
     table = np.array([0.0, 0.6, 0.4, 1.0])
     frozen_view = table[:]
     frozen_view.setflags(write=False)
-    for values in (table, frozen_view, table.tolist()):
-        c = Capacity.from_table(FiniteSpace(2), values)
-        table[1] = 0.7
-        assert c.measure(1) == 0.6
-        table[1] = 0.6
     owned = table.copy()
     owned.setflags(write=False)
-    assert Capacity.from_table(FiniteSpace(2), owned).table is owned
+    for build in (Capacity.from_table, Capacity):  # direct construction keeps the same rule
+        for values in (table, frozen_view, table.tolist()):
+            c = build(FiniteSpace(2), values)
+            assert table.flags.writeable and not c.table.flags.writeable
+            table[1] = 0.7
+            assert c.measure(1) == 0.6
+            table[1] = 0.6
+        assert build(FiniteSpace(2), owned).table is owned
 
 
 @pytest.mark.parametrize("fix_boundaries", [False, True])

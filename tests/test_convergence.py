@@ -16,6 +16,7 @@ from semint import (
     FiniteSpace,
     FnSequence,
     MeasurableFn,
+    Semicopula,
     SpaceMismatchError,
     check_in_capacity,
     check_in_mean,
@@ -192,6 +193,66 @@ def test_in_mean_far_constant_fails():
     report = check_in_mean(MIN, UNIFORM, seq)
     assert report.verdict == "fail"
     assert set(report.per_n) == {1.0}
+
+
+IN_MEAN_KINDS = BUILTINS + (Semicopula.from_function(lambda a, b: a * b * (2.0 - max(a, b)), 7),)
+
+
+def special_seq(space: FiniteSpace, horizon: int, rng: np.random.Generator) -> FnSequence:
+    """Terms and limit drawn partly from ties and the specials 0.0, -0.0 and 5e-324."""
+    pool = np.array([0.0, -0.0, 5e-324, 1.0, 0.5, 0.25])
+    rows = rng.random((horizon + 1, space.size))
+    hits = rng.random(rows.shape) < 0.5
+    rows[hits] = rng.choice(pool, int(hits.sum()))
+    fns = [MeasurableFn(space, row) for row in rows]
+    return FnSequence(space, tuple(fns[1:]), fns[0])
+
+
+def report_bytes(report) -> tuple:
+    """A report's verdict, tail supremum and per-term values, with the sign of zero kept."""
+    return report.verdict, report.tail_sup.hex(), tuple(v.hex() for v in report.per_n)
+
+
+def test_in_mean_on_a_reused_sequence_matches_a_fresh_one_bit_for_bit():
+    rng = np.random.default_rng(41)
+    space = FiniteSpace(6)
+    c = random_capacity(space, rng)
+    for _ in range(4):
+        seq = special_seq(space, 30, rng)
+        reused = [report_bytes(check_in_mean(s, c, seq, 0.0)) for s in IN_MEAN_KINDS]
+        reused += [report_bytes(check_in_mean(s, c, seq, 0.0)) for s in reversed(IN_MEAN_KINDS)]
+        fresh = []
+        for s in IN_MEAN_KINDS + tuple(reversed(IN_MEAN_KINDS)):
+            copy = FnSequence(space, seq.terms, seq.limit)
+            fresh.append(report_bytes(check_in_mean(s, c, copy, 0.0)))
+            per_n = tuple(integrate(s, c, residual(t, seq.limit)).value.hex() for t in seq.terms)
+            assert fresh[-1][2] == per_n, s.kind
+        assert reused == fresh
+
+
+def test_a_sequence_computes_each_residual_once(monkeypatch):
+    import semint.convergence as conv
+
+    calls = []
+
+    def counted(f, g):
+        calls.append(f)
+        return residual(f, g)
+
+    monkeypatch.setattr(conv, "residual", counted)
+    rng = np.random.default_rng(42)
+    space = FiniteSpace(5)
+    c = random_capacity(space, rng)
+    seq = special_seq(space, 25, rng)
+    check_strict(c, seq)
+    check_in_capacity(c, seq)
+    for s in BUILTINS:
+        check_in_mean(s, c, seq)
+    assert len(calls) == seq.horizon
+    assert [id(f) for f in calls] == [id(t) for t in seq.terms]
+    theorem2_audit(MIN, c, seq)
+    check_in_mean(MIN, c, FnSequence(space, seq.terms, seq.limit))
+    assert len(calls) == 2 * seq.horizon  # a new sequence computes its own
 
 
 # ---------------------------------------------------------------------------

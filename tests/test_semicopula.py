@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from semint import (
     builtin,
     validate_semicopula,
 )
+from semint.semicopula import _SCALAR_FORMULAS
 
 unit = st.floats(min_value=0.0, max_value=1.0)
 
@@ -74,14 +77,48 @@ def test_evaluate_rejects_out_of_range(bad):
             s.evaluate(*bad)
 
 
+SCALAR_SPECIALS = (0.0, 5e-324, math.nextafter(1.0, 0.0), 1.0)
+
+
 def test_scalar_and_array_paths_agree():
-    axis = np.linspace(0.0, 1.0, 41)
+    axis = np.concatenate((np.linspace(0.0, 1.0, 41), SCALAR_SPECIALS))
     grid_a, grid_b = np.meshgrid(axis, axis, indexing="ij")
     for s in BUILTINS:
         arr = s.evaluate(grid_a, grid_b)
-        for i in range(41):
-            for j in range(41):
+        for i in range(axis.size):
+            for j in range(axis.size):
                 assert s.evaluate(float(axis[i]), float(axis[j])) == arr[i, j]
+
+
+def inline_scalar(kind: str, a: float, b: float) -> float:
+    """Each builtin formula written out inline: the bit-for-bit reference for ``_SCALAR_FORMULAS``."""
+    if kind == "min":
+        return a if a <= b else b
+    if kind == "product":
+        return a * b
+    if kind == "prodmax":
+        return a * b * (a if a >= b else b)
+    if kind == "lukasiewicz":
+        if b == 1.0:
+            return a
+        if a == 1.0:
+            return b
+        s = a + b - 1.0
+        return s if s > 0.0 else 0.0
+    raise AssertionError(kind)
+
+
+def test_scalar_formulas_return_the_inline_branch_bit_for_bit():
+    axis = np.linspace(0.0, 1.0, 41).tolist() + [-0.0, *SCALAR_SPECIALS]
+    axis += np.random.default_rng(6).random(40).tolist()
+    for s in BUILTINS:
+        formula = _SCALAR_FORMULAS[s.kind]
+        for a in axis:
+            for b in axis:
+                want = inline_scalar(s.kind, a, b).hex()  # .hex() tells -0.0 from 0.0
+                assert formula(a, b).hex() == want, (s.kind, a, b)
+                assert s.evaluate(a, b).hex() == want, (s.kind, a, b)
+    assert set(_SCALAR_FORMULAS) == set(BUILTIN_KINDS)
 
 
 def test_callable_alias():
@@ -189,6 +226,16 @@ def test_table_rejects_bad_grids():
         Semicopula("frobnicate")
     with pytest.raises(DomainError):
         Semicopula("min", grid=np.eye(3))
+
+
+def test_construction_copies_the_callers_grid():
+    for build in (Semicopula.from_grid, lambda g: Semicopula("table", g)):
+        grid = np.array([[0.0, 0.0], [0.0, 1.0]])
+        s = build(grid)
+        assert grid.flags.writeable
+        grid[0, 0] = 0.5
+        assert s.grid.tolist() == [[0.0, 0.0], [0.0, 1.0]]
+        assert not s.grid.flags.writeable
 
 
 # ---------------------------------------------------------------------------
