@@ -238,15 +238,20 @@ class Capacity:
 
     The capacity keeps ``table`` as it is if it is a read-only float64 array
     that owns its memory, and a read-only copy of anything else, so the
-    caller's array stays writable.  Direct construction checks only the
-    table's shape; ``from_table`` checks the axioms.
+    caller's array stays writable.  Direct construction checks the table's
+    shape and that every entry lies in [0,1], raising ``validate_table``'s
+    first range violation; ``from_table`` checks all the axioms.
     """
 
     space: FiniteSpace
     table: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "table", _dense_table(self.space, _kept_table(self.table)))
+        table = _dense_table(self.space, _kept_table(self.table))
+        if not (table.min() >= 0.0 and table.max() <= 1.0):  # NaN fails both comparisons
+            _, masks, _ = next(_faults(table, self.space.size))
+            raise DomainError(_violation(table, "domain", int(masks[0]), None).message)
+        object.__setattr__(self, "table", table)
 
     def measure(self, mask: int) -> float:
         """Value of the capacity at the subset encoded by ``mask``."""

@@ -326,6 +326,8 @@ def _parse_params(doc, loc: str) -> dict:
     out: dict = {}
     if "horizon" in obj:
         out["horizon"] = _as_int(obj["horizon"], f"{loc}/horizon")
+        if out["horizon"] < 1:
+            raise SchemaError(f"horizon must be >= 1, got {out['horizon']}", f"{loc}/horizon")
     if "epsilon" in obj:
         eps = _as_num(obj["epsilon"], f"{loc}/epsilon")
         if not math.isfinite(eps) or eps < 0.0:

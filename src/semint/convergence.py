@@ -6,9 +6,11 @@ Three modes are checked for a truncated sequence (f_n) with limit candidate f:
 * strictly:      mu({|f_n - f| > 0}) -> 0
 * in mean:       the seminormed integral of |f_n - f| -> 0
 
-A sequence computes its residuals |f_n - f| once, on its first in-mean
-check, and keeps them: every later in-mean check on the same sequence (one
-per semicopula, say) integrates the same residual functions.
+A sequence computes its residuals |f_n - f| once, on its first check of any
+mode, and keeps them: every later check on the same sequence (one in-mean
+check per semicopula, say) reads the same residual functions.  The audits
+share their strict hypothesis the same way: a sequence keeps the last one it
+was audited under, keyed by (capacity, epsilon, tail_start).
 
 A limit over n is not machine-checkable, so a verdict here means: beyond
 ``tail_start`` the witnessed quantity stays within ``epsilon`` over the
@@ -39,7 +41,6 @@ constant-value sequences witnessing both gaps.
 from __future__ import annotations
 
 import math
-from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -76,14 +77,16 @@ class FnSequence:
     terms: tuple[MeasurableFn, ...]
     limit: MeasurableFn
     provenance: str = ""
-    # |f_n - f| per term, built on first use by _residuals and shared by every in-mean check;
-    # two threads racing on a fresh sequence both build equal tuples, and either may be kept
+    # |f_n - f| per term, built on first use by _residuals and read by every check, and the audits'
+    # last strict hypothesis, ((capacity, epsilon, tail_start), report), set by _strict_hypothesis;
+    # threads racing on one sequence each use the entry they built, and any of them may be kept
     _residuals: tuple[MeasurableFn, ...] | None = field(default=None, init=False, repr=False, compare=False)
+    _hypothesis: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "terms", tuple(self.terms))
         if not self.terms:
             raise DomainError("sequence needs at least one term")
-        object.__setattr__(self, "terms", tuple(self.terms))
         for term in self.terms:
             _require_same_space(term, self.limit)
         _require_same_space(self.limit, self)
@@ -94,8 +97,7 @@ class FnSequence:
 
     def residual_matrix(self) -> np.ndarray:
         """|f_n - f| stacked row per term, shape (horizon, space.size)."""
-        stacked = np.stack([term.values for term in self.terms])
-        return np.abs(stacked - self.limit.values[None, :])
+        return np.stack([r.values for r in _residuals(self)])
 
 
 @dataclass(frozen=True, slots=True)
@@ -263,23 +265,17 @@ def _implication_report(theorem: int, hyp: ConvergenceReport, concl: Convergence
     return ImplicationReport(theorem, hyp, concl, violation, not violation, summary)
 
 
-# While random_audit runs one case: its check_strict reports by (capacity, sequence, epsilon,
-# tail_start), so the case's theorem audits, called through their public signatures, share one.
-# Capacity and FnSequence hash by identity; the memo is reset when the case ends.
-_case_hypotheses: ContextVar[dict | None] = ContextVar("_case_hypotheses", default=None)
-
-
 def _strict_hypothesis(
     c: Capacity, seq: FnSequence, epsilon: float, tail_start: int | None
 ) -> ConvergenceReport:
-    """The audits' shared hypothesis: check_strict, run once per random_audit case."""
-    memo = _case_hypotheses.get()
-    if memo is None:
-        return check_strict(c, seq, epsilon, tail_start)
-    key = (c, seq, epsilon, tail_start)
-    if key not in memo:
-        memo[key] = check_strict(c, seq, epsilon, tail_start)
-    return memo[key]
+    """The audits' shared hypothesis: check_strict, run once per (c, epsilon, tail_start) in a row on ``seq``."""
+    # a Capacity compares by identity; repr tells -0.0 from 0.0 and 0 from 0.0, which the report keeps as given
+    key = (c, repr(epsilon), repr(tail_start))
+    entry = seq._hypothesis
+    if entry is None or entry[0] != key:
+        entry = (key, check_strict(c, seq, epsilon, tail_start))
+        object.__setattr__(seq, "_hypothesis", entry)
+    return entry[1]
 
 
 def theorem1_audit(
@@ -415,12 +411,8 @@ def random_audit(
     for _ in range(cases):
         c = random_capacity(space, rng)
         seq = random_strict_sequence(space, c, horizon, rng)
-        token = _case_hypotheses.set({})
-        try:
-            reports = [theorem1_audit(c, seq)]
-            for s in semicopulas:
-                reports.append(theorem2_audit(s, c, seq))
-        finally:
-            _case_hypotheses.reset(token)
+        reports = [theorem1_audit(c, seq)]
+        for s in semicopulas:
+            reports.append(theorem2_audit(s, c, seq))
         out.append(tuple(reports))
     return out

@@ -337,6 +337,22 @@ def test_direct_construction_checks_table_shape():
     assert Capacity(FiniteSpace(1), [0.0, 1.0]).measure(1) == 1.0
 
 
+@pytest.mark.parametrize("bad", [2.0, math.nan, -0.5, math.inf])
+def test_direct_construction_rejects_out_of_range_entries_with_the_first_located_violation(bad):
+    space = FiniteSpace(5)
+    table = random_capacity(space, np.random.default_rng(7)).table.copy()
+    table[[19, 6, 30]] = bad  # the error names the lowest mask
+    want = validate_table(space, table)[0]
+    assert want.kind == "domain" and want.mask == 6
+    with pytest.raises(DomainError) as err:
+        Capacity(space, table)
+    assert str(err.value) == want.message == f"mu(0x6) = {bad!r} outside [0,1]"
+    with pytest.raises(DomainError, match=r"^mu\(0x1\) = nan outside \[0,1\]$"):
+        Capacity(FiniteSpace(2), [0.0, math.nan, 0.5, 1.0])
+    # monotonicity and normalization stay from_table's job
+    assert Capacity(FiniteSpace(2), [0.5, 0.9, 0.1, 0.0]).measure(1) == 0.9
+
+
 # ---------------------------------------------------------------------------
 # the strided lattice scan against the fancy-indexed loops it replaced
 

@@ -342,6 +342,15 @@ def test_converge_tail_start_outside_the_horizon_is_located(tmp_path, tail_start
     assert err["code"] == "schema" and err["location"] == "/params/tail_start"
 
 
+@pytest.mark.parametrize("horizon", [0, -3])
+def test_converge_horizon_below_one_is_located(tmp_path, horizon):
+    proc = run_cli("converge", write(tmp_path, "h.json", converge_instance(horizon=horizon)))
+    assert proc.returncode == 2 and proc.stdout == b""
+    err = strict_json(proc.stderr)
+    assert err["code"] == "schema" and err["location"] == "/params/horizon"
+    assert err["message"] == f"horizon must be >= 1, got {horizon}"
+
+
 def test_audit_negative_cases_exits_two():
     proc = run_cli("audit", "--cases", "-3")
     assert proc.returncode == 2 and proc.stdout == b""

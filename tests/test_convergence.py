@@ -255,6 +255,20 @@ def test_a_sequence_computes_each_residual_once(monkeypatch):
     assert len(calls) == 2 * seq.horizon  # a new sequence computes its own
 
 
+@pytest.mark.parametrize("n", [1, 3, 6, 16])
+def test_residual_matrix_equals_the_stacked_difference_byte_for_byte(n):
+    rng = np.random.default_rng(43 + n)
+    space = FiniteSpace(n)
+    for horizon in (1, 2, 17):
+        seq = special_seq(space, horizon, rng)
+        want = np.abs(np.stack([t.values for t in seq.terms]) - seq.limit.values)
+        got = seq.residual_matrix()
+        assert got.dtype == want.dtype and got.shape == (horizon, n)
+        assert got.tobytes() == want.tobytes()  # the sign of zero included
+        rows = [residual(t, seq.limit).values.tobytes() for t in seq.terms]
+        assert [row.tobytes() for row in got] == rows
+
+
 # ---------------------------------------------------------------------------
 # verdict semantics
 
@@ -330,6 +344,10 @@ def test_fn_sequence_validation():
     f = MeasurableFn.constant(SPACE, 0.5)
     with pytest.raises(DomainError):
         FnSequence(SPACE, (), f)
+    with pytest.raises(DomainError, match="at least one term"):
+        FnSequence(SPACE, (t for t in ()), f)
+    seq = FnSequence(SPACE, (t for t in [f, f]), f)
+    assert seq.terms == (f, f) and check_strict(UNIFORM, seq, 0.0).verdict == "pass"
     other = MeasurableFn.constant(FiniteSpace(3), 0.5)
     with pytest.raises(SpaceMismatchError):
         FnSequence(SPACE, (f,), other)
@@ -408,7 +426,42 @@ def test_random_audit_runs_check_strict_once_per_case(monkeypatch):
     assert [[r.to_json_dict() for r in batch] for batch in batches] == want
     theorem1_audit(UNIFORM, stationary_seq())
     theorem2_audit(MIN, UNIFORM, stationary_seq())
-    assert len(calls) == 5  # outside random_audit every audit runs its own check
+    assert len(calls) == 5  # two distinct sequences run their own checks
+
+
+def test_a_sequence_keeps_its_last_strict_hypothesis(monkeypatch):
+    import semint.convergence as conv
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return check_strict(*args, **kwargs)
+
+    monkeypatch.setattr(conv, "check_strict", counted)
+    rng = np.random.default_rng(44)
+    c = random_capacity(SPACE, rng)
+    other = random_capacity(SPACE, rng)
+    seq = random_strict_sequence(SPACE, c, 12, rng)
+    reports = [theorem1_audit(c, seq)] + [theorem2_audit(s, c, seq) for s in BUILTINS]
+    assert len(calls) == 1
+    want = check_strict(c, FnSequence(SPACE, seq.terms, seq.limit))
+    assert all(r.hypothesis is reports[0].hypothesis for r in reports) and reports[0].hypothesis == want
+    # a new capacity, epsilon or tail_start runs its own check; the sequence keeps only the last one
+    keys = [
+        (other, DEFAULT_EPSILON, None),
+        (other, 0.0, None),
+        (other, -0.0, None),
+        (other, 0, None),
+        (other, 0, 7),
+        (c, DEFAULT_EPSILON, None),
+    ]
+    for k, (cap, epsilon, tail_start) in enumerate(keys, start=2):
+        hyp = theorem2_audit(MIN, cap, seq, epsilon=epsilon, tail_start=tail_start).hypothesis
+        assert theorem1_audit(cap, seq, epsilon=epsilon, tail_start=tail_start).hypothesis is hyp
+        assert len(calls) == k
+        fresh = check_strict(cap, FnSequence(SPACE, seq.terms, seq.limit), epsilon, tail_start)
+        assert hyp == fresh and repr(hyp.epsilon) == repr(epsilon)  # -0.0 and 0 stay as given
 
 
 def test_random_audit_rejects_negative_cases():
