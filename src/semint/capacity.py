@@ -34,7 +34,6 @@ across threads.
 from __future__ import annotations
 
 import math
-from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -47,6 +46,7 @@ from semint.errors import (
     MaxNotOneError,
     NotMonotoneError,
     NotNormalizedError,
+    _checked_int,
 )
 
 MAX_POINTS = 24
@@ -78,9 +78,7 @@ class FiniteSpace:
         return 1 << self.size
 
     def check_mask(self, mask: int) -> int:
-        if not isinstance(mask, (int, np.integer)) or isinstance(mask, bool):
-            raise DomainError(f"subset mask must be an int, got {type(mask).__name__}")
-        mask = int(mask)
+        mask = _checked_int(mask, "subset mask")
         if mask < 0 or mask > self.full_mask:
             raise DomainError(f"mask {mask:#x} has bits outside a {self.size}-point space")
         return mask
@@ -108,13 +106,9 @@ class CapacityViolation:
         return out
 
 
-# Set only while from_table checks a table: validate_table then raises from_table's error for the
-# first violation and counts the rest from their index arrays, instead of listing them all, so a
-# table with a million faults costs one message; traces still show the check inside from_table.
-_raise_first: ContextVar[bool] = ContextVar("_raise_first", default=False)
-
-
-def validate_table(space: FiniteSpace, values: Sequence[float] | np.ndarray) -> list[CapacityViolation]:
+def validate_table(
+    space: FiniteSpace, values: Sequence[float] | np.ndarray, *, _first: bool = False
+) -> list[CapacityViolation]:
     """Check a dense candidate table against the capacity axioms.
 
     Returns every violated constraint (range, boundary normalization,
@@ -123,8 +117,12 @@ def validate_table(space: FiniteSpace, values: Sequence[float] | np.ndarray) -> 
     """
     table = _dense_table(space, values)
     faults = _faults(table, space.size)
-    if _raise_first.get():
-        _raise_first_fault(table, faults)
+    # _first is the Capacity constructor's mode: raise its error for the first violation and count
+    # the rest from their index arrays, so a table with a million faults costs one message.  The
+    # constructor calls this function rather than _faults so that the check it runs stays visible
+    # as a validate_table call to anything that traces the public functions.
+    if _first:
+        _raise_at_first_fault(table, faults)
         return []
     return [_violation(table, kind, mask, element) for kind, masks, element in faults for mask in masks.tolist()]
 
@@ -158,8 +156,8 @@ def _violation(table: np.ndarray, kind: str, mask: int, element: int | None) -> 
     )
 
 
-def _raise_first_fault(table: np.ndarray, faults) -> None:
-    """Raise from_table's error for the first of ``faults``, if there is one."""
+def _raise_at_first_fault(table: np.ndarray, faults) -> None:
+    """Raise the constructor's error for the first of ``faults``, if there is one."""
     first, total = None, 0
     for kind, masks, element in faults:
         if first is None and masks.size:
@@ -238,20 +236,30 @@ class Capacity:
 
     The capacity keeps ``table`` as it is if it is a read-only float64 array
     that owns its memory, and a read-only copy of anything else, so the
-    caller's array stays writable.  Direct construction checks the table's
-    shape and that every entry lies in [0,1], raising ``validate_table``'s
-    first range violation; ``from_table`` checks all the axioms.
+    caller's array stays writable.  Construction checks the table's shape and
+    every axiom, raising the first violation ``validate_table`` lists: a
+    ``DomainError`` for a value outside [0,1], else a ``NotNormalizedError``
+    or a ``NotMonotoneError`` (with its witness) that also gives the total
+    count.  The additive and possibility builders make valid tables by
+    construction and skip the check.
     """
 
     space: FiniteSpace
     table: np.ndarray
 
     def __post_init__(self) -> None:
-        table = _dense_table(self.space, _kept_table(self.table))
-        if not (table.min() >= 0.0 and table.max() <= 1.0):  # NaN fails both comparisons
-            _, masks, _ = next(_faults(table, self.space.size))
-            raise DomainError(_violation(table, "domain", int(masks[0]), None).message)
+        table = _kept_table(self.table)
+        validate_table(self.space, table, _first=True)
         object.__setattr__(self, "table", table)
+
+    @classmethod
+    def _adopt(cls, space: FiniteSpace, table: np.ndarray) -> "Capacity":
+        """A capacity over a fresh float64 ``table`` valid by construction: made read-only, not copied or checked."""
+        table.setflags(write=False)
+        capacity = object.__new__(cls)
+        object.__setattr__(capacity, "space", space)
+        object.__setattr__(capacity, "table", table)
+        return capacity
 
     def measure(self, mask: int) -> float:
         """Value of the capacity at the subset encoded by ``mask``."""
@@ -259,18 +267,8 @@ class Capacity:
 
     @classmethod
     def from_table(cls, space: FiniteSpace, values: Sequence[float] | np.ndarray) -> "Capacity":
-        """Build a capacity from a dense table, rejecting any axiom violation.
-
-        The error reports the first violation ``validate_table`` lists and the
-        total count.  The table is kept as the constructor keeps it.
-        """
-        table = _kept_table(values)
-        token = _raise_first.set(True)
-        try:
-            validate_table(space, table)
-        finally:
-            _raise_first.reset(token)
-        return cls(space, table)
+        """Build a capacity from a dense table: ``Capacity(space, values)``, which rejects any axiom violation."""
+        return cls(space, values)
 
     @classmethod
     def from_possibility(cls, space: FiniteSpace, weights: Sequence[float]) -> "Capacity":
@@ -288,9 +286,7 @@ class Capacity:
             raise DomainError("possibility weights must lie in [0,1]")
         if not np.any(w == 1.0):
             raise MaxNotOneError(f"max weight is {float(w.max())!r}, expected exactly 1")
-        table = _doubling_table(w, np.maximum)
-        table.setflags(write=False)  # a fresh table nobody else holds: the constructor need not copy it
-        return cls(space, table)
+        return cls._adopt(space, _doubling_table(w, np.maximum))
 
     @classmethod
     def from_additive(cls, space: FiniteSpace, weights: Sequence[float]) -> "Capacity":
@@ -317,8 +313,7 @@ class Capacity:
         table /= table[-1]
         table[0] = 0.0
         table[-1] = 1.0
-        table.setflags(write=False)  # a fresh table nobody else holds: the constructor need not copy it
-        return cls(space, table)
+        return cls._adopt(space, table)
 
     @classmethod
     def from_distortion(cls, base: "Capacity", g: Sequence[float]) -> "Capacity":
@@ -331,6 +326,8 @@ class Capacity:
         samples = np.asarray(g, dtype=np.float64)
         if samples.ndim != 1 or samples.size < 2:
             raise BadDistortionError("distortion needs at least 2 samples")
+        if not np.all(np.isfinite(samples)):  # NaN would pass both checks below
+            raise BadDistortionError("distortion samples must be finite numbers")
         if samples[0] != 0.0 or samples[-1] != 1.0:
             raise BadDistortionError(
                 f"distortion endpoints are ({float(samples[0])!r}, {float(samples[-1])!r}), expected (0, 1)"

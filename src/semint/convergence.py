@@ -42,12 +42,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from numbers import Real
 from typing import Callable, Sequence
 
 import numpy as np
 
 from semint.capacity import Capacity, FiniteSpace, random_capacity
-from semint.errors import BadGridError, BadRateError, DomainError
+from semint.errors import BadGridError, BadRateError, DomainError, _checked_int
 from semint.integral import integrate
 from semint.measurable import _SMALLEST_POSITIVE, MeasurableFn, _level_masks, _require_same_space, residual
 from semint.semicopula import Semicopula
@@ -62,7 +63,7 @@ MODE_IN_MEAN = "in-mean"
 
 def default_t_grid(points: int = DEFAULT_T_GRID_SIZE) -> np.ndarray:
     """Log-spaced thresholds over [0.01, 1], dense near the small end."""
-    return np.logspace(-2.0, 0.0, points)
+    return np.logspace(-2.0, 0.0, _checked_int(points, "points"))
 
 
 def default_tail_start(horizon: int) -> int:
@@ -140,6 +141,7 @@ def _tail_start(horizon: int, tail_start: int | None) -> int:
     """``tail_start``, defaulted, and checked to lie in 1..horizon."""
     if tail_start is None:
         return default_tail_start(horizon)
+    tail_start = _checked_int(tail_start, "tail_start")
     if not 1 <= tail_start <= horizon:
         raise DomainError(f"tail_start must be in 1..{horizon}, got {tail_start}")
     return tail_start
@@ -148,7 +150,7 @@ def _tail_start(horizon: int, tail_start: int | None) -> int:
 def _checked_tail_start(c: Capacity, seq: FnSequence, epsilon: float, tail_start: int | None) -> int:
     """The entry check every mode shares; returns tail_start, defaulted."""
     _require_same_space(c, seq)
-    if not (math.isfinite(epsilon) and epsilon >= 0.0):
+    if isinstance(epsilon, bool) or not (isinstance(epsilon, Real) and math.isfinite(epsilon) and epsilon >= 0.0):
         raise DomainError(f"epsilon must be finite and >= 0, got {epsilon!r}")
     return _tail_start(seq.horizon, tail_start)
 
@@ -325,7 +327,7 @@ def counterexample_constant(
     be in (0, 1] and strictly decreasing over the horizon, the finite stand-in
     for "positive and vanishing".
     """
-    if horizon < 1:
+    if _checked_int(horizon, "horizon") < 1:
         raise DomainError(f"horizon must be >= 1, got {horizon}")
     if callable(rate):
         fn = rate
@@ -369,10 +371,9 @@ def random_strict_sequence(
     empty set, so emptying the chain is what makes the strict hypothesis hold
     exactly rather than approximately.
     """
-    if horizon < 1:
+    if _checked_int(horizon, "horizon") < 1:
         raise DomainError(f"horizon must be >= 1, got {horizon}")
-    if vanish_at is None:
-        vanish_at = default_tail_start(horizon)
+    vanish_at = default_tail_start(horizon) if vanish_at is None else _checked_int(vanish_at, "vanish_at")
     limit_values = rng.random(space.size)
     limit = MeasurableFn(space, limit_values)
     support = int(rng.integers(0, space.num_subsets))
@@ -404,7 +405,7 @@ def random_audit(
     hypothesis report, computed once.  Used by the CLI ``audit`` subcommand and the
     acceptance suite; a fixed seed makes the whole batch reproducible.
     """
-    if cases < 0:
+    if _checked_int(cases, "cases") < 0:
         raise DomainError(f"cases must be >= 0, got {cases}")
     rng = np.random.default_rng(seed)
     out = []

@@ -6,6 +6,8 @@ when it emits structured error objects.
 
 from __future__ import annotations
 
+import numpy as np
+
 
 class SemintError(Exception):
     """Base class for every error raised by this package."""
@@ -89,3 +91,14 @@ class SchemaError(SemintError):
     def __init__(self, message: str, location: str = "/"):
         super().__init__(message)
         self.location = location
+
+
+def _checked_int(value, name: str) -> int:
+    """``value`` as an int if it is an int or a numpy integer, else a ``DomainError`` naming ``name``.
+
+    ``bool`` is refused although it subclasses int: ``True`` as a size or a
+    position is a mistake, not the number 1.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise DomainError(f"{name} must be an int, got {type(value).__name__}")
+    return int(value)

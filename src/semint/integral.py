@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from semint.capacity import Capacity
-from semint.errors import DomainError
+from semint.errors import DomainError, _checked_int
 from semint.measurable import MeasurableFn, _level_masks, _require_same_space
 from semint.semicopula import _SCALAR_FORMULAS, MIN, PRODUCT, Semicopula
 
@@ -85,7 +85,7 @@ def integrate(s: Semicopula, c: Capacity, f: MeasurableFn) -> IntegralResult:
     best_t = 0.0
     formula = _SCALAR_FORMULAS.get(s.kind, s.evaluate)
     for v, level in reversed(chain):
-        m = table.item(level)  # v is a value of f, so in [0,1]; a directly built table's m may not be
+        m = table.item(level)  # v is a value of f, so in [0,1]; m too, unless a kept table was written after its check
         if not 0.0 <= m <= 1.0:
             raise DomainError(f"arguments ({v!r}, {m!r}) outside [0,1]^2")
         val = formula(v, m)
@@ -98,7 +98,7 @@ def integrate(s: Semicopula, c: Capacity, f: MeasurableFn) -> IntegralResult:
 def _grid_profile(s: Semicopula, c: Capacity, f: MeasurableFn, grid_points: int) -> tuple[float, float]:
     """Largest S(t, mu({f >= t})) over a uniform grid of thresholds in [0, 1], and the first t attaining it."""
     _require_same_space(c, f)
-    if grid_points < 2:
+    if _checked_int(grid_points, "grid_points") < 2:
         raise DomainError(f"grid_points must be >= 2, got {grid_points}")
     t = np.linspace(0.0, 1.0, grid_points)
     profile = s._evaluate_array(t, c.table[_level_masks(f.values, t)])

@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from semint.errors import DomainError
+from semint.errors import DomainError, _checked_int
 
 AXIOM_TOL = 1e-12
 
@@ -99,7 +99,7 @@ class Semicopula:
     @classmethod
     def from_function(cls, fn: Callable[[float, float], float], resolution: int) -> "Semicopula":
         """Sample a candidate aggregation onto a lattice table."""
-        if resolution < 1:
+        if _checked_int(resolution, "resolution") < 1:
             raise DomainError("resolution must be >= 1")
         axis = np.linspace(0.0, 1.0, resolution + 1)
         grid = np.array([[fn(a, b) for b in axis] for a in axis])
@@ -264,7 +264,7 @@ def validate_semicopula(s: Semicopula, check_resolution: int) -> ValidationRepor
     monotonicity in each coordinate, the neutral element on both sides, and
     the derived consequences S(a,b) <= min(a,b) and S(x,0) = 0 = S(0,x).
     """
-    if check_resolution < 2:
+    if _checked_int(check_resolution, "check_resolution") < 2:
         raise DomainError(f"check_resolution must be >= 2, got {check_resolution}")
     axis = np.linspace(0.0, 1.0, check_resolution + 1)
     grid_a, grid_b = np.meshgrid(axis, axis, indexing="ij")

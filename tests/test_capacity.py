@@ -271,6 +271,13 @@ def test_distortion_rejects_bad_samples():
         Capacity.from_distortion(base, [1.0])  # too short
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_distortion_rejects_non_finite_samples_before_the_order_checks(bad):
+    # NaN passes both the endpoint and the order check, so it would surface as a bad table entry
+    with pytest.raises(BadDistortionError, match="^distortion samples must be finite numbers$"):
+        Capacity.from_distortion(uniform_additive(2), [0.0, bad, 1.0])
+
+
 # ---------------------------------------------------------------------------
 # cross-constructor invariants
 
@@ -349,8 +356,64 @@ def test_direct_construction_rejects_out_of_range_entries_with_the_first_located
     assert str(err.value) == want.message == f"mu(0x6) = {bad!r} outside [0,1]"
     with pytest.raises(DomainError, match=r"^mu\(0x1\) = nan outside \[0,1\]$"):
         Capacity(FiniteSpace(2), [0.0, math.nan, 0.5, 1.0])
-    # monotonicity and normalization stay from_table's job
-    assert Capacity(FiniteSpace(2), [0.5, 0.9, 0.1, 0.0]).measure(1) == 0.9
+    # direct construction runs from_table's whole check, normalization and monotonicity included
+    with pytest.raises(NotNormalizedError) as err:
+        Capacity(FiniteSpace(2), [0.5, 0.9, 0.1, 0.0])
+    assert str(err.value) == "mu(empty) = 0.5, expected 0 (5 violation(s) total)"
+
+
+def candidate_tables(n: int, rng: np.random.Generator):
+    """A valid table, then copies broken in one way each: order, boundaries, or a planted entry."""
+    valid = random_capacity(FiniteSpace(n), rng).table
+    yield valid
+    yield valid[::-1].copy()
+    unnormalized = valid.copy()
+    unnormalized[0], unnormalized[-1] = 0.25, 0.75
+    yield unnormalized
+    for bad in (math.nan, math.inf, -math.inf, 2.0, -0.5, -0.0, 5e-324):
+        table = valid.copy()
+        table[rng.integers(0, table.size, 1 + n // 3)] = bad
+        yield table
+
+
+def outcome(build):
+    """The table bytes ``build`` returns, or the type, message and witness of what it raises."""
+    try:
+        return build().table.tobytes()
+    except (DomainError, NotNormalizedError, NotMonotoneError) as e:
+        return type(e), str(e), getattr(e, "mask", None), getattr(e, "element", None)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_direct_construction_runs_the_from_table_check(n):
+    space = FiniteSpace(n)
+    rng = np.random.default_rng(n)
+    for table in candidate_tables(n, rng):
+        violations = validate_table(space, table)
+        for values in (table, table.tolist()):
+            got = outcome(lambda: Capacity(space, values))
+            assert got == outcome(lambda: Capacity.from_table(space, values))
+            if not violations:
+                assert got == table.tobytes()
+                continue
+            first = violations[0]
+            kind, message, mask, element = got
+            assert kind.code == first.kind
+            count = "" if first.kind == "domain" else f" ({len(violations)} violation(s) total)"
+            assert message == first.message + count
+            if kind is NotMonotoneError:
+                assert (mask, element) == (first.mask, first.element)
+
+
+@pytest.mark.parametrize("n", range(1, 15))
+def test_proved_builders_make_valid_read_only_tables_without_the_check(n):
+    # the additive and possibility builders skip the constructor's scan; this is the scan they skip
+    space = FiniteSpace(n)
+    rng = np.random.default_rng(100 + n)
+    w = rng.random(n)
+    for c in (Capacity.from_additive(space, w / w.sum()), Capacity.from_possibility(space, w / w.max())):
+        assert validate_table(space, c.table) == []
+        assert not c.table.flags.writeable
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from semint import (
     default_t_grid,
     default_tail_start,
     integrate,
+    integrate_grid_oracle,
     random_audit,
     random_capacity,
     random_strict_sequence,
@@ -33,6 +34,7 @@ from semint import (
     survival,
     theorem1_audit,
     theorem2_audit,
+    validate_semicopula,
 )
 
 SPACE = FiniteSpace(4)
@@ -138,8 +140,8 @@ def test_strict_is_in_capacity_at_the_smallest_positive_double():
         space = FiniteSpace(int(rng.integers(1, 7)))
         if case % 2:
             c = random_capacity(space, rng)
-        else:  # built directly, so neither monotone nor normalized
-            c = Capacity(space, rng.choice([0.0, 0.3, 1.0, rng.random()], size=space.num_subsets))
+        else:  # adopted unchecked, so neither monotone nor normalized
+            c = Capacity._adopt(space, rng.choice([0.0, 0.3, 1.0, rng.random()], size=space.num_subsets))
         pool = [0.0, 5e-324, 1e-310, 0.5, 1.0, rng.random()]
         limit = MeasurableFn(space, rng.choice(pool, size=space.size))
         horizon = int(rng.integers(1, 12))
@@ -327,7 +329,7 @@ def test_counterexample_rejects_non_vanishing_rate():
         counterexample_constant(SPACE, "1/n", 0)
 
 
-@pytest.mark.parametrize("epsilon", [math.nan, math.inf, -math.inf, -1.0, -5e-324])
+@pytest.mark.parametrize("epsilon", [math.nan, math.inf, -math.inf, -1.0, -5e-324, True, "3"])
 def test_every_mode_rejects_a_bad_epsilon(epsilon):
     seq = constant_seq(10)
     with pytest.raises(DomainError):
@@ -338,6 +340,44 @@ def test_every_mode_rejects_a_bad_epsilon(epsilon):
         check_in_mean(MIN, UNIFORM, seq, epsilon)
     with pytest.raises(DomainError):
         theorem2_audit(MIN, UNIFORM, seq, epsilon=epsilon)
+
+
+# entry point -> (argument name, call with the argument set to x), for every size or position a caller passes
+INT_ARGUMENTS = {
+    "check_strict": ("tail_start", lambda x: check_strict(UNIFORM, constant_seq(10), 0.5, x)),
+    "check_in_capacity": ("tail_start", lambda x: check_in_capacity(UNIFORM, constant_seq(10), None, 0.5, x)),
+    "check_in_mean": ("tail_start", lambda x: check_in_mean(MIN, UNIFORM, constant_seq(10), 0.5, x)),
+    "theorem1_audit": ("tail_start", lambda x: theorem1_audit(UNIFORM, constant_seq(10), tail_start=x)),
+    "random_audit-cases": ("cases", lambda x: random_audit(SPACE, BUILTINS, x, 1)),
+    "random_audit-horizon": ("horizon", lambda x: random_audit(SPACE, BUILTINS, 1, 1, horizon=x)),
+    "random_strict_sequence-horizon": (
+        "horizon", lambda x: random_strict_sequence(SPACE, UNIFORM, x, np.random.default_rng(1))
+    ),
+    "random_strict_sequence-vanish_at": (
+        "vanish_at", lambda x: random_strict_sequence(SPACE, UNIFORM, 5, np.random.default_rng(1), vanish_at=x)
+    ),
+    "counterexample_constant": ("horizon", lambda x: counterexample_constant(SPACE, "1/n", x)),
+    "default_t_grid": ("points", lambda x: default_t_grid(x)),
+    "validate_semicopula": ("check_resolution", lambda x: validate_semicopula(MIN, x)),
+    "from_function": ("resolution", lambda x: Semicopula.from_function(min, x)),
+    "integrate_grid_oracle": (
+        "grid_points", lambda x: integrate_grid_oracle(MIN, UNIFORM, MeasurableFn.constant(SPACE, 0.5), x)
+    ),
+    "measure": ("subset mask", lambda x: UNIFORM.measure(x)),
+}
+
+
+@pytest.mark.parametrize("bad", [2.5, True, "3"])
+@pytest.mark.parametrize("name, call", INT_ARGUMENTS.values(), ids=INT_ARGUMENTS.keys())
+def test_size_and_position_arguments_must_be_ints(name, call, bad):
+    with pytest.raises(DomainError, match=f"^{name} must be an int, got {type(bad).__name__}$"):
+        call(bad)
+    call(np.int64(3))  # numpy integers are accepted
+
+
+def test_a_numpy_tail_start_is_reported_as_an_int():
+    report = check_strict(UNIFORM, constant_seq(10), 0.5, np.int64(3))
+    assert type(report.tail_start) is int and report.tail_start == 3
 
 
 def test_fn_sequence_validation():

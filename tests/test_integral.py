@@ -335,7 +335,7 @@ def test_bad_direct_tables_raise_the_candidate_scans_first_error(bad):
     base = random_capacity(space, rng).table
     raised = 0
     for trial, row in enumerate(chain_rows(space.size, 40, rng)):
-        # direct construction range-checks the table, so the bad values go in afterwards, through
+        # direct construction runs from_table's whole check, so the bad values go in afterwards, through
         # the array the capacity keeps: a read-only array that owns its memory can be made writable
         table = base.copy()
         table.setflags(write=False)
