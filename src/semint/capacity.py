@@ -64,10 +64,10 @@ class FiniteSpace:
     size: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.size, int) or isinstance(self.size, bool):
-            raise DomainError(f"space size must be an int, got {type(self.size).__name__}")
-        if not 1 <= self.size <= MAX_POINTS:
-            raise DomainError(f"space size must be in 1..{MAX_POINTS}, got {self.size}")
+        size = _checked_int(self.size, "space size")
+        if not 1 <= size <= MAX_POINTS:
+            raise DomainError(f"space size must be in 1..{MAX_POINTS}, got {size}")
+        object.__setattr__(self, "size", size)
 
     @property
     def full_mask(self) -> int:
@@ -240,8 +240,8 @@ class Capacity:
     every axiom, raising the first violation ``validate_table`` lists: a
     ``DomainError`` for a value outside [0,1], else a ``NotNormalizedError``
     or a ``NotMonotoneError`` (with its witness) that also gives the total
-    count.  The additive and possibility builders make valid tables by
-    construction and skip the check.
+    count.  The additive, possibility and distortion builders make valid
+    tables by construction and skip the check.
     """
 
     space: FiniteSpace
@@ -321,7 +321,10 @@ class Capacity:
 
         ``g`` is a table of m+1 uniform samples over [0,1] with g(0)=0 and
         g(1)=1; values between samples are linearly interpolated and clamped
-        into the sample bracket so monotonicity survives rounding.
+        into the sample bracket so monotonicity survives rounding.  Given
+        that ``base`` is a capacity, the sample checks below make the result
+        one too (the proof is in ``_interp_monotone``), so it skips the
+        constructor's scan, like the additive and possibility builders.
         """
         samples = np.asarray(g, dtype=np.float64)
         if samples.ndim != 1 or samples.size < 2:
@@ -334,9 +337,7 @@ class Capacity:
             )
         if np.any(np.diff(samples) < 0.0):
             raise BadDistortionError("distortion samples must be non-decreasing")
-        table = _interp_monotone(samples, base.table)
-        table.setflags(write=False)  # a fresh table nobody else holds: the constructor need not copy it
-        return cls.from_table(base.space, table)
+        return cls._adopt(base.space, _interp_monotone(samples, base.table))
 
     def to_json_dict(self) -> dict:
         return {"n": self.space.size, "kind": "table", "values": [float(v) for v in self.table]}
@@ -345,11 +346,29 @@ class Capacity:
 def _interp_monotone(samples: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Piecewise-linear evaluation of uniform samples, clamped per bracket.
 
-    Clamping output into [samples[k], samples[k+1]] guarantees that ordered
-    inputs map to ordered outputs despite rounding, and that inputs landing
-    on a sample reproduce it exactly.  ``x`` (1-d) is processed in chunks of
-    ``_INTERP_CHUNK`` entries, so the temporaries stay small whatever the table
-    size.
+    With ``pos = x * m``, bracket ``k = min(floor(pos), m - 1)`` and
+    ``frac = pos - k``, each output is ``samples[k] + (samples[k+1] - samples[k]) * frac``
+    clamped into ``[samples[k], samples[k+1]]``.  An input whose ``pos`` is an
+    integer ``j`` gives ``samples[j]`` exactly.
+
+    If ``samples`` are finite and non-decreasing with ``samples[0] = 0`` and
+    ``samples[-1] = 1`` (``from_distortion``'s checks), and ``x`` is a
+    capacity table, the output is a capacity table despite rounding:
+
+    - range: every output is clamped into its bracket, which lies in [0,1];
+    - endpoints: ``x = 0`` gives exactly ``samples[0] = 0``; ``x = 1`` gives
+      ``pos = m``, ``k = m - 1`` and ``frac = 1``, and ``lo + (1 - lo)`` rounds
+      to exactly 1 for every ``lo`` in [0,1] (the subtraction is exact for
+      ``lo >= 1/2``, else off by at most 2**-54, and ``1 +- 2**-54`` rounds
+      to 1), so the output is exactly ``samples[m] = 1``;
+    - monotone within one bracket: ``pos``, ``k`` and ``frac`` are monotone
+      in ``x``, and rounded multiplication and addition by non-negative
+      constants are monotone, and so is the clamp;
+    - monotone across brackets: if ``k1 < k2``, then
+      ``out1 <= samples[k1+1] <= samples[k2] <= out2``.
+
+    ``x`` (1-d) is processed in chunks of ``_INTERP_CHUNK`` entries, so the
+    temporaries stay small whatever the table size.
     """
     m = samples.size - 1
     out = np.empty(x.shape)
@@ -359,8 +378,7 @@ def _interp_monotone(samples: np.ndarray, x: np.ndarray) -> np.ndarray:
         frac = pos - k
         lo = samples[k]
         hi = samples[k + 1]
-        part = np.clip(lo + (hi - lo) * frac, lo, hi)
-        out[start : start + _INTERP_CHUNK] = np.where(frac >= 1.0, hi, part)
+        np.clip(lo + (hi - lo) * frac, lo, hi, out=out[start : start + _INTERP_CHUNK])
     return out
 
 

@@ -42,6 +42,15 @@ class MeasurableFn:
         object.__setattr__(self, "values", values)
 
     @classmethod
+    def _adopt(cls, space: FiniteSpace, values: np.ndarray) -> "MeasurableFn":
+        """A function over fresh float64 ``values`` in [0,1] by construction: made read-only, not copied or checked."""
+        values.setflags(write=False)
+        fn = object.__new__(cls)
+        object.__setattr__(fn, "space", space)
+        object.__setattr__(fn, "values", values)
+        return fn
+
+    @classmethod
     def constant(cls, space: FiniteSpace, value: float) -> "MeasurableFn":
         return cls(space, np.full(space.size, float(value)))
 
@@ -102,7 +111,7 @@ def strict_support(f: MeasurableFn) -> int:
 def residual(f: MeasurableFn, g: MeasurableFn) -> MeasurableFn:
     """Pointwise absolute difference |f - g|."""
     _require_same_space(f, g)
-    return MeasurableFn(f.space, np.abs(f.values - g.values))
+    return MeasurableFn._adopt(f.space, np.abs(f.values - g.values))  # in [0,1], since f and g are
 
 
 def survival(c: Capacity, f: MeasurableFn, t: float) -> float:

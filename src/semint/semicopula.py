@@ -84,7 +84,7 @@ class Semicopula:
         if grid.ndim != 2 or grid.shape[0] != grid.shape[1] or grid.shape[0] < 2:
             raise DomainError(f"table grid must be square with side >= 2, got {grid.shape}")
         res = grid.shape[0] - 1
-        if self.resolution is not None and self.resolution != res:
+        if self.resolution is not None and _checked_int(self.resolution, "resolution") != res:
             raise DomainError(f"resolution {self.resolution} does not match grid side {res + 1}")
         if np.any(~((grid >= 0.0) & (grid <= 1.0))):
             raise DomainError("table grid values must lie in [0,1]")

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -19,7 +20,7 @@ from semint import (
     random_capacity,
     validate_table,
 )
-from semint.capacity import _lattice_pairs
+from semint.capacity import _interp_monotone, _lattice_pairs
 
 
 def popcount(mask: int) -> int:
@@ -55,6 +56,12 @@ def test_space_bounds():
         FiniteSpace(0)
     with pytest.raises(DomainError):
         FiniteSpace(MAX_POINTS + 1)
+
+
+@pytest.mark.parametrize("size", [np.int64(3), np.int32(3)])
+def test_space_size_accepts_numpy_integers_as_ints(size):
+    space = FiniteSpace(size)
+    assert type(space.size) is int and space == FiniteSpace(3)
 
 
 def test_check_mask_rejects_stray_bits():
@@ -271,11 +278,201 @@ def test_distortion_rejects_bad_samples():
         Capacity.from_distortion(base, [1.0])  # too short
 
 
+@pytest.mark.parametrize(
+    "g, message",
+    [
+        ([0.1, 1.0], "distortion endpoints are (0.1, 1.0), expected (0, 1)"),
+        ([0.0, 1.0 + 2**-52], "distortion endpoints are (0.0, 1.0000000000000002), expected (0, 1)"),
+        ([-5e-324, 1.0], "distortion endpoints are (-5e-324, 1.0), expected (0, 1)"),
+        ([0.0, 0.8, 0.5, 1.0], "distortion samples must be non-decreasing"),
+        ([1.0], "distortion needs at least 2 samples"),
+        ([], "distortion needs at least 2 samples"),
+        ([[0.0, 1.0]], "distortion needs at least 2 samples"),
+        ([0.0, -math.inf, 1.0], "distortion samples must be finite numbers"),
+    ],
+)
+def test_distortion_errors_keep_their_messages(g, message):
+    with pytest.raises(BadDistortionError) as err:
+        Capacity.from_distortion(uniform_additive(2), g)
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_distortion_rejects_non_finite_samples_before_the_order_checks(bad):
     # NaN passes both the endpoint and the order check, so it would surface as a bad table entry
     with pytest.raises(BadDistortionError, match="^distortion samples must be finite numbers$"):
         Capacity.from_distortion(uniform_additive(2), [0.0, bad, 1.0])
+
+
+# from_distortion hands its table to Capacity._adopt: _interp_monotone's proof replaces the scan.
+# These tests check the proof's claims on the inputs where rounding is closest to breaking them.
+
+
+def ref_interp_with_end_branch(samples: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The clamped interpolation plus a ``frac >= 1`` branch to ``samples[k+1]``, which ``_interp_monotone`` omits."""
+    m = samples.size - 1
+    pos = x * m
+    k = np.minimum(pos.astype(np.int64), m - 1)
+    frac = pos - k
+    lo, hi = samples[k], samples[k + 1]
+    return np.where(frac >= 1.0, hi, np.clip(lo + (hi - lo) * frac, lo, hi))
+
+
+SPECIAL_ENTRIES = (0.0, -0.0, 5e-324, float(np.nextafter(1.0, 0.0)), 1.0)
+
+
+def entries(m: int):
+    """Table entries on the sample nodes k/m, one ulp to either side of them, special values, or any."""
+    on_node = st.integers(0, m).map(lambda k: k / m)
+    beside_node = st.tuples(on_node, st.sampled_from([-1.0, 2.0])).map(
+        lambda t: float(min(1.0, max(0.0, np.nextafter(t[0], t[1]))))
+    )
+    return on_node | beside_node | st.sampled_from(SPECIAL_ENTRIES) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def distortion_samples(draw) -> np.ndarray:
+    """2-65 nodes with flat runs, repeated values, steep steps and both zeros."""
+    inner = draw(
+        st.lists(st.sampled_from([0.0, -0.0, 5e-324, 0.5, 1.0]) | st.floats(0.0, 1.0), max_size=63)
+    )
+    return np.array([draw(st.sampled_from([0.0, -0.0])), *sorted(inner), 1.0])
+
+
+@st.composite
+def distortion_bases(draw, m: int) -> Capacity:
+    n = draw(st.integers(1, 6))
+    space = FiniteSpace(n)
+    kind = draw(st.sampled_from(["table", "additive", "possibility", "random", "distortion"]))
+    if kind == "table":
+        # ascending in mask order is monotone, since a proper subset has the smaller mask
+        table = sorted(draw(st.lists(entries(m), min_size=1 << n, max_size=1 << n)))
+        table[0], table[-1] = draw(st.sampled_from([0.0, -0.0])), 1.0
+        return Capacity.from_table(space, table)
+    if kind == "possibility":
+        w = draw(st.lists(entries(m), min_size=n, max_size=n))
+        w[draw(st.integers(0, n - 1))] = 1.0
+        return Capacity.from_possibility(space, w)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "additive":
+        w = np.where(rng.random(n) < 0.3, 0.0, rng.random(n))
+        w[rng.integers(n)] += 1.0
+        return Capacity.from_additive(space, w / w.sum())
+    base = random_capacity(space, rng)
+    return base if kind == "random" else Capacity.from_distortion(base, draw(distortion_samples()))
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_distortion_of_any_capacity_is_a_read_only_capacity(data):
+    samples = data.draw(distortion_samples())
+    base = data.draw(distortion_bases(samples.size - 1))
+    c = Capacity.from_distortion(base, samples)
+    assert validate_table(c.space, c.table) == []
+    assert not c.table.flags.writeable and c.table is not base.table
+    assert bit_equal(c.table, ref_interp_with_end_branch(samples, base.table))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 7, 10, 64])
+@pytest.mark.parametrize("lo", [0.1, 0.3, 1 / 3, 0.7, 5e-324, 2**-54, float(np.nextafter(0.5, 0.0))])
+def test_distortion_maps_the_full_set_to_exactly_one(m, lo):
+    # x = 1 lands in the last bracket at frac = 1, where lo + (1 - lo) must round to exactly 1,
+    # also for the lo whose 1 - lo is inexact
+    samples = np.full(m + 1, lo)
+    samples[0], samples[-1] = 0.0, 1.0
+    space = FiniteSpace(2)
+    c = Capacity.from_distortion(Capacity.from_table(space, [0.0, lo, lo, 1.0]), samples)
+    assert c.table[-1] == 1.0 and validate_table(space, c.table) == []
+
+
+@pytest.mark.parametrize("m", [2, 3, 5, 10, 33, 64])
+def test_interpolation_stays_in_its_bracket_before_the_clamp_at_the_rounding_worst_cases(m):
+    # hi - lo rounds up when lo < hi / 2, and frac is largest a few ulps of pos under the next node.
+    # A search over 7.7e7 such cases found no unclamped output outside its bracket; this keeps a
+    # sample of them, where the clamp must then leave every output as it is.
+    rng = np.random.default_rng([m, 31])
+    for _ in range(200):
+        b = int(rng.integers(1, m))
+        low = float(rng.random() * rng.choice([0.5, 1e-3, 1e-300]))
+        samples = np.zeros(m + 1)
+        samples[b], samples[b + 1 :] = low, min(1.0, low + float(rng.random()))
+        samples[-1] = 1.0
+        node = (b + 1) / m
+        x = np.nextafter(node, 0.0) - np.arange(8) * np.spacing(node)
+        pos = x * m
+        k = np.minimum(pos.astype(np.int64), m - 1)
+        lo, hi = samples[k], samples[k + 1]
+        unclamped = lo + (hi - lo) * (pos - k)
+        assert np.all((lo <= unclamped) & (unclamped <= hi))
+        assert bit_equal(_interp_monotone(samples, x), unclamped)
+
+
+def test_interpolation_clamps_entries_outside_the_unit_interval_into_range():
+    # no capacity holds these entries; the clamp is what keeps the range claim true for any input
+    got = _interp_monotone(np.array([0.0, 0.5, 1.0]), np.array([-(2.0**-52), 1.0 + 2.0**-52]))
+    assert got.tolist() == [0.0, 1.0]
+
+
+def test_distortion_runs_no_table_scan(monkeypatch):
+    import semint.capacity as capacity_module
+
+    scans = []
+    real = capacity_module._faults
+
+    def counted(table, points):
+        scans.append(table.size)
+        return real(table, points)
+
+    monkeypatch.setattr(capacity_module, "_faults", counted)
+    space = FiniteSpace(6)
+    base = random_capacity(space, np.random.default_rng(1))
+    assert scans == [64]
+    Capacity.from_table(space, base.table.tolist())
+    assert scans == [64, 64]
+    Capacity.from_distortion(base, [0.0, 0.3, 0.3, 1.0])
+    assert scans == [64, 64]
+
+
+DISTORTION_GOLDEN_SAMPLES = (
+    [0.0, 1.0],
+    [0.0, 0.0, 0.0, 1.0, 1.0],
+    [0.0, 0.25, 0.25, 0.25, 0.5, 1.0],
+    [math.sqrt(k / 100) for k in range(100)] + [1.0],
+    [0.0, 5e-324, 1.0],
+)
+
+# leading 16 hex digits of the sha256 of from_distortion's tables as built when the constructor still scanned them
+DISTORTION_TABLE_SHA256 = {
+    1: "ea37337ae31f788a",
+    2: "24925c3e9e055d18",
+    3: "8c8ca4437fe3fa6c",
+    4: "384c9aa67de3e496",
+    5: "f4e539ec6a7e14e7",
+    6: "d719d7b6c9cac99e",
+    7: "d9c984a9587a156e",
+    8: "521fced890d453f3",
+    9: "0e68cc418bf08419",
+    10: "7af88c74f4f06c7f",
+    11: "b40861277e00c2eb",
+    12: "d55f205d4e4bc4c1",
+    13: "eb7c23619193698b",
+    14: "6c81f57c27e40f84",
+    18: "caf352f3a8ee2a52",
+    22: "9bb022a30ad4d188",
+}
+
+
+@pytest.mark.parametrize("n", [*range(1, 15), 18, 22])
+def test_distortion_tables_keep_their_bytes(n):
+    space = FiniteSpace(n)
+    w = np.random.default_rng([n, 21]).random(n)
+    bases = (random_capacity(space, np.random.default_rng(n)), Capacity.from_additive(space, w / w.sum()))
+    g65 = np.concatenate(([0.0], np.sort(np.random.default_rng([n, 22]).random(63)), [1.0]))
+    digest = hashlib.sha256()
+    for base in bases:
+        for g in (*DISTORTION_GOLDEN_SAMPLES, g65):
+            digest.update(Capacity.from_distortion(base, g).table.tobytes())
+    assert digest.hexdigest()[:16] == DISTORTION_TABLE_SHA256[n]
 
 
 # ---------------------------------------------------------------------------

@@ -364,6 +364,7 @@ INT_ARGUMENTS = {
         "grid_points", lambda x: integrate_grid_oracle(MIN, UNIFORM, MeasurableFn.constant(SPACE, 0.5), x)
     ),
     "measure": ("subset mask", lambda x: UNIFORM.measure(x)),
+    "FiniteSpace": ("space size", lambda x: FiniteSpace(x)),
 }
 
 

@@ -175,6 +175,10 @@ def test_residual_space_mismatch():
 def test_residual_stays_in_unit_interval(a, b):
     r = residual(MeasurableFn(SPACE4, a), MeasurableFn(SPACE4, b))
     assert np.all((r.values >= 0.0) & (r.values <= 1.0))
+    # the residual adopts its fresh array instead of copying and rechecking it: it must stay frozen
+    # and equal to what the checked constructor builds from the same difference
+    assert not r.values.flags.writeable
+    assert r.values.tobytes() == MeasurableFn(SPACE4, np.abs(np.asarray(a) - np.asarray(b))).values.tobytes()
 
 
 # ---------------------------------------------------------------------------

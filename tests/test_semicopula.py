@@ -228,6 +228,13 @@ def test_table_rejects_bad_grids():
         Semicopula("min", grid=np.eye(3))
 
 
+@pytest.mark.parametrize("bad", [True, 1.0, "1"])
+def test_table_resolution_must_be_an_int_even_when_it_equals_the_grid_side(bad):
+    with pytest.raises(DomainError, match=f"^resolution must be an int, got {type(bad).__name__}$"):
+        Semicopula("table", [[0.0, 0.0], [0.0, 1.0]], bad)
+    assert Semicopula("table", [[0.0, 0.0], [0.0, 1.0]], np.int64(1)).resolution == 1
+
+
 def test_construction_copies_the_callers_grid():
     for build in (Semicopula.from_grid, lambda g: Semicopula("table", g)):
         grid = np.array([[0.0, 0.0], [0.0, 1.0]])
