@@ -137,8 +137,10 @@ def _faults(table: np.ndarray, points: int):
     yield "domain", np.flatnonzero(~((table >= 0.0) & (table <= 1.0))), None
     boundary = [mask for mask, want in ((0, 0.0), (table.size - 1, 1.0)) if table[mask] != want]
     yield "not-normalized", np.array(boundary, dtype=np.int64), None
-    for i, lo, hi in _lattice_pairs(table, points):
-        k = np.flatnonzero(lo > hi)  # k = block * 2**i + offset; its mask is block * 2**(i+1) + offset
+    for i, lo, hi, order in _lattice_pairs(table, points):
+        # a C-ordered result, whatever the iteration order, so that flatnonzero need not copy it
+        drops = np.greater(lo, hi, out=np.empty(lo.shape, dtype=bool), order=order)
+        k = np.flatnonzero(drops)  # k = block * 2**i + offset; its mask is block * 2**(i+1) + offset
         yield "not-monotone", k + (k >> i << i), i
 
 
@@ -203,17 +205,28 @@ def _kept_table(values: Sequence[float] | np.ndarray) -> np.ndarray:
 
 
 def _lattice_pairs(table: np.ndarray, points: int):
-    """Yield ``(i, lo, hi)`` for each point ``i``: views of ``table`` pairing mask A with A + {i}.
+    """Yield ``(i, lo, hi, order)`` for each point ``i``: views of ``table`` pairing mask A with A + {i}.
 
     ``table.reshape(-1, 2, 1 << i)`` puts mask ``(block << (i+1)) | (half << i) | offset``
     at ``[block, half, offset]``, so ``lo[block, offset]`` is a mask without ``i`` and
     ``hi[block, offset]`` the same mask with ``i``.  Both are views of a contiguous
     table: writing ``hi`` updates the table in place, and flat positions in ``lo``
     run in increasing mask order.
+
+    ``order`` is the iteration order a ufunc over the pair should take.  At
+    ``i = 1, 2`` a row of ``lo`` is only ``2**i`` long, so iterating along the
+    rows ("K") runs numpy's inner loop ``2**i`` entries at a time; "F" iterates
+    down the blocks instead.  Measured at n = 22 (numpy 2.4, 2 vCPUs, best
+    of 7), one ``np.maximum(hi, lo, out=hi)`` pass took 8.1 -> 1.6 ms at
+    ``i = 1`` and 4.8 -> 2.7 ms at ``i = 2``, and one ``lo > hi`` pass into a
+    C-ordered buffer 5.2 -> 1.4 and 3.0 -> 2.4 ms; at ``i = 3`` "F" is
+    already slower (4.0 -> 4.6 and 2.7 -> 4.4 ms), so every other point keeps
+    "K".  The order changes no value, only the order in which elementwise
+    results are computed.
     """
     for i in range(points):
         pairs = table.reshape(-1, 2, 1 << i)
-        yield i, pairs[:, 0, :], pairs[:, 1, :]
+        yield i, pairs[:, 0, :], pairs[:, 1, :], "F" if i in (1, 2) else "K"
 
 
 def _doubling_table(w: np.ndarray, op) -> np.ndarray:
@@ -389,8 +402,8 @@ def random_capacity(space: FiniteSpace, rng: np.random.Generator) -> Capacity:
     subsets, so no rejection sampling is needed.
     """
     table = rng.random(space.num_subsets)
-    for _, lo, hi in _lattice_pairs(table, space.size):
-        np.maximum(hi, lo, out=hi)
+    for _, lo, hi, order in _lattice_pairs(table, space.size):
+        np.maximum(hi, lo, out=hi, order=order)
     table[0] = 0.0
     table[-1] = 1.0
     table.setflags(write=False)  # a fresh table nobody else holds: the constructor need not copy it

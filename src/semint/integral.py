@@ -95,15 +95,32 @@ def integrate(s: Semicopula, c: Capacity, f: MeasurableFn) -> IntegralResult:
     return IntegralResult(float(best), float(best_t), len(chain))
 
 
+# grid thresholds _grid_profile evaluates at once: a few 512 KiB temporaries per chunk
+_ORACLE_CHUNK = 1 << 16
+
+
 def _grid_profile(s: Semicopula, c: Capacity, f: MeasurableFn, grid_points: int) -> tuple[float, float]:
-    """Largest S(t, mu({f >= t})) over a uniform grid of thresholds in [0, 1], and the first t attaining it."""
+    """Largest S(t, mu({f >= t})) over a uniform grid of thresholds in [0, 1], and the first t attaining it.
+
+    The grid is one ``np.linspace(0.0, 1.0, grid_points)``; the profile is
+    evaluated ``_ORACLE_CHUNK`` thresholds at a time, so beyond the grid
+    itself memory stays bounded whatever ``grid_points`` is.  Each chunk's
+    ``np.argmax`` gives its first maximum, and a later chunk replaces the
+    running best only when strictly larger, so the result is the first
+    attaining grid point, as one ``np.argmax`` over the whole profile gives.
+    """
     _require_same_space(c, f)
     if _checked_int(grid_points, "grid_points") < 2:
         raise DomainError(f"grid_points must be >= 2, got {grid_points}")
     t = np.linspace(0.0, 1.0, grid_points)
-    profile = s._evaluate_array(t, c.table[_level_masks(f.values, t)])
-    best = int(np.argmax(profile))  # first attaining grid point
-    return float(profile[best]), float(t[best])
+    best = best_t = None
+    for start in range(0, t.size, _ORACLE_CHUNK):
+        chunk = t[start : start + _ORACLE_CHUNK]
+        profile = s._evaluate_array(chunk, c.table[_level_masks(f.values, chunk)])
+        k = int(np.argmax(profile))  # first attaining grid point of the chunk
+        if best is None or profile[k] > best:
+            best, best_t = profile[k], chunk[k]
+    return float(best), float(best_t)
 
 
 def integrate_grid_oracle(s: Semicopula, c: Capacity, f: MeasurableFn, grid_points: int) -> float:

@@ -1,9 +1,14 @@
 """Functions from a finite ground set into [0,1], their level sets, and survival values.
 
-Level sets use exact ``>=`` comparison on stored doubles, never an epsilon:
-the exact integration scan relies on thresholds being evaluated at the stored
-values themselves.  Out-of-range values are rejected at construction rather
-than clamped.
+Level sets are exact, never up to an epsilon: the exact integration scan
+relies on thresholds being evaluated at the stored values themselves.  Every
+``{f >= t}`` outside ``integrate`` comes from one kernel, ``_level_masks``,
+in rank form: a function's level sets shrink as ``t`` rises (the permutation
+form of Grabisch & Labreuche, *4OR* 2008), so each point is in the level
+sets of exactly the thresholds ranked at or below its value, and a
+``searchsorted`` over the sorted thresholds, which compares stored doubles as
+``>=`` does, gives that rank.  No point is compared with every threshold.
+Out-of-range values are rejected at construction rather than clamped.
 """
 
 from __future__ import annotations
@@ -69,30 +74,73 @@ def _require_same_space(a, b) -> None:
         raise SpaceMismatchError(f"spaces differ: {a.space.size} vs {b.space.size} points")
 
 
-# cells of the row x threshold x point comparison _level_masks holds at once (1 MiB as bool)
+# cells a _level_masks block holds at once: rows x (thresholds + points), 8 MiB at 8 bytes a cell
 _LEVEL_BLOCK_CELLS = 1 << 20
+
+# 2**i as float64 for every point a space can have: below 2**24, sums of distinct ones are exact
+_BIT_WEIGHTS = np.ldexp(1.0, np.arange(24))
 
 
 def _level_masks(values: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
     """Masks of ``{i : values[r, i] >= thresholds[j]}`` as int64, one row per row of ``values``.
 
     ``values`` is a matrix (rows x points), giving a (rows, thresholds) result,
-    or a single row of points, giving one mask per threshold.  The comparison
-    cube is built a block at a time, each block within ``_LEVEL_BLOCK_CELLS``
-    cells (a block of rows, or of one row's thresholds when a row alone is
-    larger), so memory stays bounded for any horizon and grid.
+    or a single row of points, giving one mask per threshold.
+
+    Rank form: a row's level sets shrink along the sorted thresholds, so each
+    point drops out of them at one rank.  Per block the thresholds are sorted
+    once (a stable ``argsort``) and ``above = searchsorted(sorted_t, v,
+    side="right")`` counts the thresholds ``<= v``: point ``i`` lies in
+    ``{v >= sorted_t[j]}`` exactly when ``j < above[i]``.  One ``bincount``
+    sums each row's bits ``2**i`` by their rank ``above`` (threshold-major
+    bins, ``above * rows + row``), a running sum down the ranks gives the bits
+    that have dropped out by each threshold, and the full mask minus that sum
+    is the level set, written back in the caller's threshold order.  The work
+    is O(rows * (n log g + g)) for ``n`` points and ``g`` thresholds.
+
+    The bins are float64.  Each bin and each running sum is a sum of distinct
+    powers below ``2**24``, so for the at most 24 points of a space it is
+    exact, whatever the order of the additions.  ``searchsorted`` compares the
+    stored doubles as ``>=`` does: ``-0.0`` equals ``0.0``, ``5e-324`` is
+    above both, and a value tied with a threshold is in its level set.
+
+    Memory is bounded per block.  A block is a range of rows, or a range of
+    one row's thresholds when a row alone is larger, of at most
+    ``_LEVEL_BLOCK_CELLS`` cells: one per row and threshold (its 8-byte
+    histogram bin, summed in place) and one per row and point (its rank and
+    its weight, 8 bytes each).  Besides the int64 result, a block holds at
+    most about 8 MiB; no rows x thresholds x points array is built.
+
+    Neither a value nor a threshold may be NaN: the sort puts NaN above every
+    number, so a NaN value would fall in every level set rather than none.
+    The entry checks keep NaN out: ``MeasurableFn`` refuses NaN values,
+    ``level_set`` a NaN ``t``, ``check_in_capacity`` a NaN grid entry, and
+    the other callers build their thresholds themselves.
     """
     thresholds = np.asarray(thresholds, dtype=np.float64)
     rows = np.atleast_2d(values)
     n = rows.shape[1]
-    powers = np.int64(1) << np.arange(n, dtype=np.int64)
-    row_step = max(1, _LEVEL_BLOCK_CELLS // max(1, thresholds.size * n))
-    t_step = max(1, _LEVEL_BLOCK_CELLS // (row_step * n))
-    out = np.empty((rows.shape[0], thresholds.size), dtype=np.int64)
-    for r in range(0, rows.shape[0], row_step):
-        for j in range(0, thresholds.size, t_step):
-            hits = rows[r : r + row_step, None, :] >= thresholds[None, j : j + t_step, None]
-            out[r : r + row_step, j : j + t_step] = hits.astype(np.int64) @ powers
+    g = thresholds.size
+    weights = _BIT_WEIGHTS[:n]
+    full = float((1 << n) - 1)
+    row_step = max(1, _LEVEL_BLOCK_CELLS // (g + n))
+    t_step = max(1, _LEVEL_BLOCK_CELLS // row_step - n)  # below g only when one row alone is larger
+    out = np.empty((rows.shape[0], g), dtype=np.int64)
+    for j in range(0, g, t_step):
+        t = thresholds[j : j + t_step]
+        order = t.argsort(kind="stable")
+        sorted_t = t[order]
+        for r in range(0, rows.shape[0], row_step):
+            block = rows[r : r + row_step]
+            m = block.shape[0]
+            bins = sorted_t.searchsorted(block, side="right")
+            bins *= m
+            bins += np.arange(m)[:, None]
+            hist = np.bincount(bins.ravel(), weights=weights[None].repeat(m, 0).ravel(), minlength=(t.size + 1) * m)
+            masks = hist[: t.size * m].reshape(t.size, m)  # bin [k, row]: the bits of row whose rank is k
+            np.add.accumulate(masks, axis=0, out=masks)  # the bits that have dropped out by each threshold
+            np.subtract(full, masks, out=masks)
+            out[r : r + m, j + order] = masks.T
     return out if np.ndim(values) == 2 else out[0]
 
 

@@ -676,7 +676,7 @@ def test_lattice_builders_match_index_loops_bit_for_bit(n):
 def ref_lattice_pairs_build(n: int, op, w: np.ndarray) -> np.ndarray:
     """The in-place lattice scan the possibility and additive builders used before prefix doubling."""
     table = np.zeros(1 << n)
-    for i, lo, hi in _lattice_pairs(table, n):
+    for i, lo, hi, _ in _lattice_pairs(table, n):
         op(lo, w[i], out=hi)
     return table
 

@@ -25,6 +25,7 @@ from semint import (
     sugeno,
     survival,
 )
+from semint import integral
 from semint.integral import _grid_profile
 
 SPACE4 = FiniteSpace(4)
@@ -172,6 +173,39 @@ def test_oracle_peak_memory_is_bounded_at_two_million_points():
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2**20, s.kind  # the whole grid x point comparison would take 244 MiB as int64
+
+
+def test_oracle_chunks_keep_the_first_maximum_across_their_boundaries(monkeypatch):
+    # under min, the profile of STEPS over UNIFORM4 is 0.5 on all of [0.5, 0.75]: at 100 001 points the
+    # tie runs over grid points 50 000 .. 75 000, across the chunk boundary at 65 536
+    rng = np.random.default_rng(4)
+    cases = [(s, UNIFORM4, STEPS) for s in BUILTINS]
+    for n in (3, 9):
+        c = rng_capacity(int(rng.integers(2**31)), n)
+        cases += [(s, c, MeasurableFn(c.space, rng.choice([0.0, 0.25, 0.5, 1.0, rng.random()], n))) for s in BUILTINS]
+    for points, chunks in ((2, (1, 7)), (7, (1, 7)), (8, (1, 7)), (1001, (1, 7, 1 << 16)), (100_001, (1 << 16,))):
+        monkeypatch.setattr(integral, "_ORACLE_CHUNK", points)  # one chunk: the whole profile's argmax
+        whole = [_grid_profile(s, c, f, points) for s, c, f in cases]
+        for chunk in chunks:
+            monkeypatch.setattr(integral, "_ORACLE_CHUNK", chunk)
+            for (s, c, f), want in zip(cases, whole):
+                got = _grid_profile(s, c, f, points)
+                assert np.array(got).tobytes() == np.array(want).tobytes(), (s.kind, points, chunk)
+    assert _grid_profile(MIN, UNIFORM4, STEPS, 100_001) == (0.5, 0.5)
+
+
+def test_oracle_peak_memory_is_below_twelve_bytes_a_point():
+    c = rng_capacity(1, 16)
+    f = MeasurableFn(c.space, np.random.default_rng(2).random(16))
+    for s in BUILTINS + (Semicopula.from_function(lambda a, b: a * b, 10),):
+        tracemalloc.start()
+        try:
+            _grid_profile(s, c, f, 2_000_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the grid itself is 8 bytes a point; the whole profile at once peaked at 45.8 MiB
+        assert peak < 24 * 2**20, s.kind
 
 
 # ---------------------------------------------------------------------------

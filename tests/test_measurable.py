@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -151,6 +152,63 @@ def test_level_mask_blocks_match_the_whole_cube(monkeypatch):
         for got, whole in pairs:
             assert got.dtype == np.int64 and got.shape == whole.shape
             assert got.tobytes() == whole.tobytes()
+
+
+def comparison_cube(values, thresholds) -> np.ndarray:
+    """The masks as the whole rows x thresholds x points comparison gives them: the reference."""
+    rows = np.atleast_2d(values)
+    powers = np.int64(1) << np.arange(rows.shape[1], dtype=np.int64)
+    cube = (rows[:, None, :] >= np.asarray(thresholds, dtype=np.float64)[None, :, None]).astype(np.int64) @ powers
+    return cube if np.ndim(values) == 2 else cube[0]
+
+
+# the edges of the rank form: both zeros, the smallest positive double, one ulp below 1, and 1
+EDGE_VALUES = (0.0, -0.0, 5e-324, math.nextafter(1.0, 0.0), 1.0)
+edge_or_unit = st.one_of(st.sampled_from(EDGE_VALUES), st.floats(0.0, 1.0))
+
+
+@given(
+    n=st.integers(1, 24),
+    rows=st.integers(1, 40),
+    data=st.data(),
+    block=st.sampled_from([1, 7, 64, 1 << 10, 1 << 20]),
+)
+@settings(max_examples=150, deadline=None)
+def test_level_masks_match_the_comparison_cube(n, rows, data, block):
+    values = np.array(data.draw(st.lists(edge_or_unit, min_size=rows * n, max_size=rows * n))).reshape(rows, n)
+    # unsorted thresholds with duplicates, some of them equal to values
+    pool = st.one_of(edge_or_unit, st.sampled_from(values.ravel().tolist()))
+    thresholds = np.array(data.draw(st.lists(pool, min_size=1, max_size=60)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(measurable, "_LEVEL_BLOCK_CELLS", block)
+        for v in (values, values[0]):
+            got, want = measurable._level_masks(v, thresholds), comparison_cube(v, thresholds)
+            assert got.dtype == np.int64 and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
+def test_level_masks_reach_the_full_24_point_mask_exactly():
+    values = np.ones((3, 24))
+    thresholds = np.array([1.0, 0.0, 5e-324, math.nextafter(1.0, 0.0), 0.5, -0.0, math.nextafter(1.0, 2.0)])
+    got = measurable._level_masks(values, thresholds)
+    assert got.tolist() == [[2**24 - 1] * 6 + [0]] * 3
+    assert got.tobytes() == comparison_cube(values, thresholds).tobytes()
+    # every point drops out at its own threshold: the bins hold single powers up to 2**23
+    ramp = np.ldexp(1.0, np.arange(-24, 0))
+    assert measurable._level_masks(ramp, ramp).tolist() == [2**24 - 2**j for j in range(24)]
+
+
+def test_level_masks_peak_memory_is_bounded_by_the_output_and_one_block():
+    rng = np.random.default_rng(11)
+    values, thresholds = rng.random((4000, 16)), rng.random(128)
+    tracemalloc.start()
+    try:
+        masks = measurable._level_masks(values, thresholds)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert masks.nbytes == 4000 * 128 * 8  # 3.9 MiB of the peak is the result itself
+    assert peak < 10 * 2**20  # the comparison cube, cast to int64 a block at a time, peaked at 13.4 MiB
 
 
 # ---------------------------------------------------------------------------
