@@ -47,6 +47,7 @@ from semint.errors import (
     NotMonotoneError,
     NotNormalizedError,
     _checked_int,
+    _kept_array,
 )
 
 MAX_POINTS = 24
@@ -186,24 +187,6 @@ def _dense_table(space: FiniteSpace, values: Sequence[float] | np.ndarray) -> np
     return table
 
 
-def _kept_table(values: Sequence[float] | np.ndarray) -> np.ndarray:
-    """``values`` if it is a read-only float64 array that owns its memory, else a read-only float64 copy.
-
-    Nothing can write to such an array, so a capacity may keep it as it is;
-    anything else the caller could still change, so the capacity keeps a copy.
-    """
-    if (
-        type(values) is np.ndarray
-        and values.dtype == np.float64
-        and values.base is None
-        and not values.flags.writeable
-    ):
-        return values
-    table = np.array(values, dtype=np.float64)
-    table.setflags(write=False)
-    return table
-
-
 def _lattice_pairs(table: np.ndarray, points: int):
     """Yield ``(i, lo, hi, order)`` for each point ``i``: views of ``table`` pairing mask A with A + {i}.
 
@@ -247,21 +230,20 @@ def _doubling_table(w: np.ndarray, op) -> np.ndarray:
 class Capacity:
     """A monotone set function with mu(empty) = 0 and mu(X) = 1, stored densely.
 
-    The capacity keeps ``table`` as it is if it is a read-only float64 array
-    that owns its memory, and a read-only copy of anything else, so the
-    caller's array stays writable.  Construction checks the table's shape and
-    every axiom, raising the first violation ``validate_table`` lists: a
-    ``DomainError`` for a value outside [0,1], else a ``NotNormalizedError``
-    or a ``NotMonotoneError`` (with its witness) that also gives the total
-    count.  The additive, possibility and distortion builders make valid
-    tables by construction and skip the check.
+    The capacity keeps ``table`` read-only by the rule of ``errors._kept_array``,
+    so the caller's array stays writable.  Construction checks the table's
+    shape and every axiom, raising the first violation ``validate_table``
+    lists: a ``DomainError`` for a value outside [0,1], else a
+    ``NotNormalizedError`` or a ``NotMonotoneError`` (with its witness) that
+    also gives the total count.  The additive, possibility and distortion
+    builders make valid tables by construction and skip the check.
     """
 
     space: FiniteSpace
     table: np.ndarray
 
     def __post_init__(self) -> None:
-        table = _kept_table(self.table)
+        table = _kept_array(self.table, "capacity table")
         validate_table(self.space, table, _first=True)
         object.__setattr__(self, "table", table)
 

@@ -115,12 +115,19 @@ def _write_csv(path: str, header: str, rows: Sequence[Sequence[str]]) -> None:
 _UNREADABLE = object()
 
 
+class _JsonParseError(SchemaError):
+    """The document is not JSON text the parser can read; ``location`` says where, if the parser knows."""
+
+    code = "json-parse"
+
+
 def _load_json(path: str):
     """Parse an instance document into schema errors where strict JSON or Python cannot read it.
 
-    NaN and +-Infinity are not JSON, and integers longer than the
-    interpreter's digit limit cannot be converted; both are reported at their
-    JSON pointer.
+    ``path`` is a file or ``-``, stdin, read as UTF-8 whatever the locale;
+    text that is not UTF-8 or JSON, or nests past the recursion limit, is a
+    ``json-parse`` error.  NaN, +-Infinity and integers longer than the
+    interpreter's digit limit are reported at their JSON pointer.
     """
     rejected: list[str] = []
 
@@ -135,11 +142,15 @@ def _load_json(path: str):
             rejected.append(f"integer literal of {len(text.lstrip('-'))} digits is too long to read")
             return _UNREADABLE
 
-    if path == "-":
-        doc = json.load(sys.stdin, parse_constant=non_finite, parse_int=integer)
-    else:
-        with open(path, "r", encoding="utf-8") as fh:
+    try:
+        with open(sys.stdin.fileno() if path == "-" else path, encoding="utf-8", closefd=path != "-") as fh:
             doc = json.load(fh, parse_constant=non_finite, parse_int=integer)
+    except json.JSONDecodeError as e:
+        raise _JsonParseError(str(e), f"line {e.lineno} column {e.colno}") from None
+    except UnicodeDecodeError as e:
+        raise _JsonParseError(f"document is not UTF-8 text ({e.reason})") from None
+    except RecursionError:
+        raise _JsonParseError("document nests arrays or objects too deeply to parse") from None
     if rejected:
         raise SchemaError(rejected[0], _pointer_to(doc, _UNREADABLE))
     return doc
@@ -295,7 +306,7 @@ def parse_semicopula(doc, loc: str) -> Semicopula:
         if "resolution" in obj:
             resolution = _as_int(obj["resolution"], f"{loc}/resolution")
         try:
-            return Semicopula("table", np.asarray(rows, dtype=np.float64), resolution)
+            return Semicopula("table", rows, resolution)
         except SemintError as e:
             raise _located(e, f"{loc}/grid")
     raise SchemaError(f"unknown semicopula kind {kind!r}", f"{loc}/kind")
@@ -307,7 +318,7 @@ def parse_function(doc, space: FiniteSpace, loc: str) -> MeasurableFn:
     if len(values) != space.size:
         raise SchemaError(f"need {space.size} values, got {len(values)}", f"{loc}/values")
     try:
-        return MeasurableFn(space, np.asarray(values, dtype=np.float64))
+        return MeasurableFn(space, values)
     except SemintError as e:
         raise _located(e, f"{loc}/values")
 
@@ -625,9 +636,6 @@ def run(argv: Sequence[str] | None = None) -> int:
         return int(e.code or 0)
     try:
         return args.handler(args)
-    except json.JSONDecodeError as e:
-        _print_error("json-parse", str(e), f"line {e.lineno} column {e.colno}")
-        return 2
     except SemintError as e:
         _print_error(e.code, str(e), getattr(e, "location", ""))
         return 2

@@ -102,3 +102,24 @@ def _checked_int(value, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise DomainError(f"{name} must be an int, got {type(value).__name__}")
     return int(value)
+
+
+def _kept_array(values, name: str) -> np.ndarray:
+    """``values`` as the read-only float64 array a constructor keeps, or a ``DomainError`` naming ``name``.
+
+    The trust boundary of every array a ``Capacity``, ``MeasurableFn`` or
+    table ``Semicopula`` keeps: its constructor checks the values once, and no
+    later code checks them again.  A read-only float64 ndarray (not a
+    subclass) that owns its memory is kept as it is; anything else, which the
+    caller could still write, is copied.  Calling ``setflags(write=True)`` on a
+    kept array and writing to it is unsupported.  Ragged rows or text raise
+    the ``DomainError``.
+    """
+    if type(values) is np.ndarray and not values.flags.writeable and values.base is None and values.dtype == np.float64:
+        return values
+    try:
+        kept = np.array(values, dtype=np.float64)
+    except ValueError:
+        raise DomainError(f"{name} must be a regular array of numbers") from None
+    kept.setflags(write=False)
+    return kept

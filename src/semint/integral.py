@@ -63,8 +63,7 @@ def integrate(s: Semicopula, c: Capacity, f: MeasurableFn) -> IntegralResult:
     in ascending order with a strict ``>``, which keeps the smallest
     attaining threshold.  All comparisons are exact and candidates are
     evaluated at the stored double values, so no tolerance is involved.
-    Each candidate's capacity value gets the range check
-    ``Semicopula.evaluate`` makes, with the same error; then a builtin's
+    Both lie in [0,1], checked when ``f`` and ``c`` were built: a builtin's
     formula is called directly on the two floats, and a table's ``evaluate``.
     """
     _require_same_space(c, f)
@@ -85,10 +84,7 @@ def integrate(s: Semicopula, c: Capacity, f: MeasurableFn) -> IntegralResult:
     best_t = 0.0
     formula = _SCALAR_FORMULAS.get(s.kind, s.evaluate)
     for v, level in reversed(chain):
-        m = table.item(level)  # v is a value of f, so in [0,1]; m too, unless a kept table was written after its check
-        if not 0.0 <= m <= 1.0:
-            raise DomainError(f"arguments ({v!r}, {m!r}) outside [0,1]^2")
-        val = formula(v, m)
+        val = formula(v, table.item(level))
         if val > best:
             best = val
             best_t = v

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from semint.capacity import Capacity, FiniteSpace
-from semint.errors import DomainError, SpaceMismatchError
+from semint.errors import DomainError, SpaceMismatchError, _kept_array
 
 # the smallest positive double: on values >= 0, {v > 0} is the level set {v >= _SMALLEST_POSITIVE}
 _SMALLEST_POSITIVE = float(np.nextafter(0.0, 1.0))
@@ -27,13 +27,13 @@ _SMALLEST_POSITIVE = float(np.nextafter(0.0, 1.0))
 
 @dataclass(frozen=True, slots=True, eq=False)
 class MeasurableFn:
-    """A value vector over the ground set: ``values[i] = f(i)``, all in [0,1]."""
+    """A value vector over the ground set: ``values[i] = f(i)``, all in [0,1], kept by ``errors._kept_array``."""
 
     space: FiniteSpace
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        values = np.array(self.values, dtype=np.float64)  # a copy: the caller's array stays theirs
+        values = _kept_array(self.values, "function values")
         if values.shape != (self.space.size,):
             raise DomainError(
                 f"function over a {self.space.size}-point space needs {self.space.size} "
@@ -43,7 +43,6 @@ class MeasurableFn:
         for v in values.tolist():
             if not 0.0 <= v <= 1.0:
                 raise DomainError("function values must lie in [0,1]")
-        values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
     @classmethod
@@ -62,8 +61,7 @@ class MeasurableFn:
     @classmethod
     def indicator(cls, space: FiniteSpace, mask: int) -> "MeasurableFn":
         mask = space.check_mask(mask)
-        values = np.array([1.0 if mask >> i & 1 else 0.0 for i in range(space.size)])
-        return cls(space, values)
+        return cls(space, [1.0 if mask >> i & 1 else 0.0 for i in range(space.size)])
 
     def to_json_dict(self) -> dict:
         return {"values": [float(v) for v in self.values]}

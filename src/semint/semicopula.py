@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from semint.errors import DomainError, _checked_int
+from semint.errors import DomainError, _checked_int, _kept_array
 
 AXIOM_TOL = 1e-12
 
@@ -66,7 +66,8 @@ class Semicopula:
 
     For tables, ``grid[i][j]`` holds the value at ``(i/resolution, j/resolution)``
     and points between lattice nodes are bilinearly interpolated.  Construction
-    only enforces the value range; the axioms are checked separately.
+    keeps ``grid`` by the rule of ``errors._kept_array`` and only enforces its
+    value range; the axioms are checked separately.
     """
 
     kind: str
@@ -80,7 +81,7 @@ class Semicopula:
             return
         if self.kind != "table":
             raise DomainError(f"unknown semicopula kind {self.kind!r}")
-        grid = np.array(self.grid, dtype=np.float64)  # a copy: the caller's array stays theirs
+        grid = _kept_array(self.grid, "table grid")
         if grid.ndim != 2 or grid.shape[0] != grid.shape[1] or grid.shape[0] < 2:
             raise DomainError(f"table grid must be square with side >= 2, got {grid.shape}")
         res = grid.shape[0] - 1
@@ -88,13 +89,12 @@ class Semicopula:
             raise DomainError(f"resolution {self.resolution} does not match grid side {res + 1}")
         if np.any(~((grid >= 0.0) & (grid <= 1.0))):
             raise DomainError("table grid values must lie in [0,1]")
-        grid.setflags(write=False)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "resolution", res)
 
     @classmethod
     def from_grid(cls, grid: Sequence[Sequence[float]] | np.ndarray) -> "Semicopula":
-        return cls("table", np.asarray(grid, dtype=np.float64))
+        return cls("table", grid)
 
     @classmethod
     def from_function(cls, fn: Callable[[float, float], float], resolution: int) -> "Semicopula":
@@ -102,8 +102,7 @@ class Semicopula:
         if _checked_int(resolution, "resolution") < 1:
             raise DomainError("resolution must be >= 1")
         axis = np.linspace(0.0, 1.0, resolution + 1)
-        grid = np.array([[fn(a, b) for b in axis] for a in axis])
-        return cls.from_grid(grid)
+        return cls.from_grid([[fn(a, b) for b in axis] for a in axis])
 
     def evaluate(self, a, b):
         """S(a, b); accepts scalars or equally-shaped numpy arrays.
@@ -121,13 +120,15 @@ class Semicopula:
             if formula is not None:
                 return formula(a, b)
             return float(self._table_eval(np.asarray(a), np.asarray(b)))
-        return self._evaluate_array(np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64))
+        a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+        if np.any(~((a >= 0.0) & (a <= 1.0))) or np.any(~((b >= 0.0) & (b <= 1.0))):
+            raise DomainError("arguments outside [0,1]^2")
+        return self._evaluate_array(a, b)
 
     __call__ = evaluate
 
     def _evaluate_array(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        if np.any(~((a >= 0.0) & (a <= 1.0))) or np.any(~((b >= 0.0) & (b <= 1.0))):
-            raise DomainError("arguments outside [0,1]^2")
+        """S(a, b) on float64 arrays whose entries the caller has already kept in [0,1]."""
         kind = self.kind
         if kind == "min":
             return np.minimum(a, b)
@@ -182,15 +183,6 @@ class Semicopula:
             "resolution": int(self.resolution),
             "grid": [[float(v) for v in row] for row in self.grid],
         }
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "Semicopula":
-        kind = doc.get("kind")
-        if kind in BUILTIN_KINDS:
-            return cls(kind)
-        if kind == "table":
-            return cls("table", np.asarray(doc["grid"], dtype=np.float64), doc.get("resolution"))
-        raise DomainError(f"unknown semicopula kind {kind!r}")
 
 
 MIN = Semicopula("min")

@@ -15,8 +15,10 @@ from semint import (
     DomainError,
     FiniteSpace,
     MaxNotOneError,
+    MeasurableFn,
     NotMonotoneError,
     NotNormalizedError,
+    Semicopula,
     random_capacity,
     validate_table,
 )
@@ -744,19 +746,44 @@ def test_builders_hand_their_fresh_table_over_without_a_copy():
 
 
 def test_from_table_copies_what_the_caller_can_still_write():
-    table = np.array([0.0, 0.6, 0.4, 1.0])
-    frozen_view = table[:]
-    frozen_view.setflags(write=False)
-    owned = table.copy()
-    owned.setflags(write=False)
-    for build in (Capacity.from_table, Capacity):  # direct construction keeps the same rule
-        for values in (table, frozen_view, table.tolist()):
-            c = build(FiniteSpace(2), values)
-            assert table.flags.writeable and not c.table.flags.writeable
-            table[1] = 0.7
-            assert c.measure(1) == 0.6
-            table[1] = 0.6
-        assert build(FiniteSpace(2), owned).table is owned
+    # every constructor keeps its array by the one rule of errors._kept_array
+    table, values, grid = [0.0, 0.6, 0.4, 1.0], [0.25, 0.5, 0.75, 1.0], [[0.0, 0.0], [0.0, 1.0]]
+    cases = (
+        (lambda v: Capacity.from_table(FiniteSpace(2), v).table, table),
+        (lambda v: Capacity(FiniteSpace(2), v).table, table),
+        (lambda v: MeasurableFn(FiniteSpace(4), v).values, values),
+        (lambda v: Semicopula.from_grid(v).grid, grid),
+        (lambda v: Semicopula("table", v).grid, grid),
+    )
+    for kept, data in cases:
+        array = np.array(data)
+        frozen_view = array[:]
+        frozen_view.setflags(write=False)
+        owned = array.copy()
+        owned.setflags(write=False)
+        for arg in (array, frozen_view, data):
+            got = kept(arg)
+            assert array.flags.writeable and not got.flags.writeable
+            array.flat[1] = 0.3
+            assert got.tolist() == data
+            array[...] = data
+        assert kept(owned) is owned
+
+
+@pytest.mark.parametrize(
+    "build, name",
+    [
+        (lambda v: Capacity(FiniteSpace(1), v), "capacity table"),
+        (lambda v: MeasurableFn(FiniteSpace(2), v), "function values"),
+        (lambda v: Semicopula("table", v), "table grid"),
+        (Semicopula.from_grid, "table grid"),
+    ],
+)
+@pytest.mark.parametrize("bad", [[[0.0, 0.0], [0.0]], [0.0, [1.0]], ["zero", "one"]])
+def test_ragged_or_text_input_is_a_domain_error_naming_the_array(build, name, bad):
+    with pytest.raises(DomainError) as err:
+        build(bad)
+    assert str(err.value) == f"{name} must be a regular array of numbers"
 
 
 @pytest.mark.parametrize("fix_boundaries", [False, True])

@@ -439,6 +439,22 @@ def test_malformed_json_exits_two(tmp_path):
     assert err["code"] == "json-parse" and "line" in err["location"]
 
 
+@pytest.mark.parametrize(
+    "content",
+    [b'\xff\xfe{"space": {"n": 1}}', '{"space": {"n": "\u00e9"}}'.encode("latin-1"), b"[" * 100_000],
+    ids=["utf16-bom", "latin-1", "deep"],
+)
+def test_unreadable_json_exits_two_with_one_error_object(tmp_path, content):
+    # text that is not UTF-8 and nesting past the recursion limit, from a file and from stdin
+    path = tmp_path / "unreadable.json"
+    path.write_bytes(content)
+    for command in ("integrate", "check-semicopula"):
+        for proc in (run_cli(command, str(path)), run_cli(command, "-", stdin=content)):
+            assert proc.returncode == 2 and proc.stdout == b""
+            assert b"Traceback" not in proc.stderr and proc.stderr.count(b"\n") == 1
+            assert strict_json(proc.stderr)["code"] == "json-parse"
+
+
 def test_missing_file_exits_two(tmp_path):
     proc = run_cli("integrate", str(tmp_path / "nope.json"))
     assert proc.returncode == 2
@@ -497,3 +513,21 @@ def test_bad_semicopula_grid_location(tmp_path):
     assert proc.returncode == 2
     err = error_of(proc)
     assert err["code"] == "domain" and err["location"] == "/semicopula/grid"
+
+
+def test_ragged_semicopula_grid_is_located_like_the_other_grid_errors(tmp_path):
+    ragged = {"kind": "table", "grid": [[0, 0], [0]]}
+    out_of_range = {"kind": "table", "grid": [[0, 0], [0, 2]]}
+    runs = (
+        ("integrate", lambda sc: dict(INSTANCE, semicopula=sc), "/semicopula/grid"),
+        ("check-semicopula", lambda sc: {"semicopula": sc}, "/semicopula/grid"),
+        ("check-semicopula", lambda sc: sc, None),  # a bare document: the same place as a value outside [0,1]
+    )
+    for command, doc, location in runs:
+        proc = run_cli(command, write(tmp_path, "r.json", doc(ragged)))
+        assert proc.returncode == 2 and proc.stdout == b""
+        err = error_of(proc)
+        assert err["code"] == "domain" and err["message"] == "table grid must be a regular array of numbers"
+        if location is None:
+            location = error_of(run_cli(command, write(tmp_path, "o.json", doc(out_of_range))))["location"]
+        assert err["location"] == location
