@@ -33,7 +33,6 @@ across threads.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -47,6 +46,7 @@ from semint.errors import (
     NotMonotoneError,
     NotNormalizedError,
     _checked_int,
+    _float_array,
     _kept_array,
 )
 
@@ -177,8 +177,8 @@ def _raise_at_first_fault(table: np.ndarray, faults) -> None:
 
 
 def _dense_table(space: FiniteSpace, values: Sequence[float] | np.ndarray) -> np.ndarray:
-    """``values`` as a float64 array, which must be 1-d with one entry per subset."""
-    table = np.asarray(values, dtype=np.float64)
+    """``values`` as a float64 array, not copied if it is one, which must be 1-d with one entry per subset."""
+    table = _float_array(values, "capacity table")
     if table.ndim != 1 or table.size != space.num_subsets:
         raise DomainError(
             f"capacity table for a {space.size}-point space needs {space.num_subsets} "
@@ -272,7 +272,7 @@ class Capacity:
         The weights must lie in [0,1] and attain 1 somewhere, which makes the
         result normalized; the running-max construction is exactly monotone.
         """
-        w = np.asarray(weights, dtype=np.float64)
+        w = _float_array(weights, "possibility weights")
         if w.shape != (space.size,):
             raise DomainError(f"need {space.size} weights, got shape {w.shape}")
         if not np.all(np.isfinite(w)):
@@ -292,7 +292,7 @@ class Capacity:
         mask by adding one nonnegative weight at a time, which keeps the
         floating-point table exactly monotone.
         """
-        w = np.asarray(weights, dtype=np.float64)
+        w = _float_array(weights, "additive weights")
         if w.shape != (space.size,):
             raise DomainError(f"need {space.size} weights, got shape {w.shape}")
         if not np.all(np.isfinite(w)):
@@ -321,7 +321,7 @@ class Capacity:
         one too (the proof is in ``_interp_monotone``), so it skips the
         constructor's scan, like the additive and possibility builders.
         """
-        samples = np.asarray(g, dtype=np.float64)
+        samples = _float_array(g, "distortion samples")
         if samples.ndim != 1 or samples.size < 2:
             raise BadDistortionError("distortion needs at least 2 samples")
         if not np.all(np.isfinite(samples)):  # NaN would pass both checks below

@@ -414,7 +414,7 @@ def _cmd_check_semicopula(args) -> int:
     if "semicopula" in doc and "kind" not in doc:
         s = parse_semicopula(doc["semicopula"], "/semicopula")
     else:
-        s = parse_semicopula(doc, "/")
+        s = parse_semicopula(doc, "")  # the root pointer, so that child locations read /kind, not //kind
     report = validate_semicopula(s, args.resolution)
     _print_report(report.to_json_dict())
     return 0 if report.passed else 1
@@ -426,7 +426,7 @@ def _cmd_check_capacity(args) -> int:
         inner, loc = _as_obj(doc["capacity"], "/capacity"), "/capacity"
         space = parse_space(doc["space"], "/space") if "space" in doc else infer_capacity_space(inner, loc)
     else:
-        inner, loc = doc, "/"
+        inner, loc = doc, ""  # the root pointer, as in _cmd_check_semicopula
         space = infer_capacity_space(inner, loc)
     kind = _as_str(_get(inner, "kind", loc), f"{loc}/kind")
 

@@ -83,14 +83,15 @@ class BadRateError(SemintError):
 class SchemaError(SemintError):
     """An instance document is structurally invalid.
 
-    ``location`` is a JSON-pointer-like path into the offending document.
+    ``location`` is a JSON-pointer-like path into the offending document;
+    the whole document, the empty pointer ``""``, reads ``"/"``.
     """
 
     code = "schema"
 
     def __init__(self, message: str, location: str = "/"):
         super().__init__(message)
-        self.location = location
+        self.location = location or "/"
 
 
 def _checked_int(value, name: str) -> int:
@@ -104,6 +105,19 @@ def _checked_int(value, name: str) -> int:
     return int(value)
 
 
+def _float_array(values, name: str, *, copy: bool = False) -> np.ndarray:
+    """``values`` as a float64 array, or a ``DomainError`` naming ``name`` where numpy cannot read them as one.
+
+    Without ``copy`` a float64 ndarray is returned as it is; with it the
+    result is always a new array.  Ragged rows or text raise the
+    ``DomainError``.
+    """
+    try:
+        return (np.array if copy else np.asarray)(values, dtype=np.float64)
+    except ValueError:
+        raise DomainError(f"{name} must be a regular array of numbers") from None
+
+
 def _kept_array(values, name: str) -> np.ndarray:
     """``values`` as the read-only float64 array a constructor keeps, or a ``DomainError`` naming ``name``.
 
@@ -113,13 +127,10 @@ def _kept_array(values, name: str) -> np.ndarray:
     subclass) that owns its memory is kept as it is; anything else, which the
     caller could still write, is copied.  Calling ``setflags(write=True)`` on a
     kept array and writing to it is unsupported.  Ragged rows or text raise
-    the ``DomainError``.
+    the ``DomainError`` of ``_float_array``.
     """
     if type(values) is np.ndarray and not values.flags.writeable and values.base is None and values.dtype == np.float64:
         return values
-    try:
-        kept = np.array(values, dtype=np.float64)
-    except ValueError:
-        raise DomainError(f"{name} must be a regular array of numbers") from None
+    kept = _float_array(values, name, copy=True)
     kept.setflags(write=False)
     return kept

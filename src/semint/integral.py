@@ -15,8 +15,11 @@ The level sets of all candidates come from one pass over the points in
 descending value order (the permutation form of the Sugeno integral; Sugeno
 1974, Grabisch & Labreuche, *4OR* 2008): each point ORs its bit into a
 running mask, and the mask at the end of each run of equal values is the
-level set of that value.  The sort makes that O(n log n) per integral.
-Ties between candidates go to the smallest attaining threshold.
+level set of that value.  The sort makes that O(n log n).  The chain depends
+on f alone, not on S or mu, so a ``MeasurableFn`` keeps it (O(n) memory)
+from its first integral on: integrating it again, under any semicopula or
+capacity, is one O(n) scan of the candidates.  Ties between candidates go to
+the smallest attaining threshold.
 ``integrate_grid_oracle`` is the direct transcription of the supremum onto a
 dense threshold grid, kept solely to cross-check the exact value; it can only
 undershoot.
@@ -24,6 +27,7 @@ undershoot.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,40 +59,64 @@ class IntegralResult:
         }
 
 
-def integrate(s: Semicopula, c: Capacity, f: MeasurableFn) -> IntegralResult:
-    """Exact integral from one stable descending pass over the points of f.
+def _level_chain(values: list[float]) -> tuple[array, array]:
+    """The level sets of every candidate: each tie run's value and the mask of ``{f >= value}``, ascending.
 
-    A tie run's value is its first entry in index order, so ``-0.0`` and
-    ``0.0`` resolve as a set of the values would.  Candidates are evaluated
-    in ascending order with a strict ``>``, which keeps the smallest
-    attaining threshold.  All comparisons are exact and candidates are
-    evaluated at the stored double values, so no tolerance is involved.
-    Both lie in [0,1], checked when ``f`` and ``c`` were built: a builtin's
-    formula is called directly on the two floats, and a table's ``evaluate``.
+    One stable descending pass over the points: each point ORs its bit into a
+    running mask, and the mask at the end of each run of equal values is the
+    level set of that value.  A tie run's value is its first entry in index
+    order, so ``-0.0`` and ``0.0`` resolve as a set of the values would.
+    Levels are ``array("d")`` and masks ``array("q")``: 472 bytes with the
+    pair that holds them for 16 distinct values, where a tuple of (value,
+    mask) pairs takes about 1.5 KiB.
     """
-    _require_same_space(c, f)
-    table = c.table
-    values = f.values.tolist()
-    chain = []  # (value, mask of {f >= value}) at the end of each tie run, in descending value order
     order = sorted(range(len(values)), key=values.__getitem__, reverse=True)
+    levels = []
+    masks = []
     mask = 0
     run = values[order[0]]
     for i in order:
         v = values[i]
         if v != run:
-            chain.append((run, mask))
+            levels.append(run)
+            masks.append(mask)
             run = v
         mask |= 1 << i
-    chain.append((run, mask))
+    levels.append(run)
+    masks.append(mask)
+    levels.reverse()
+    masks.reverse()
+    return array("d", levels), array("q", masks)
+
+
+def integrate(s: Semicopula, c: Capacity, f: MeasurableFn) -> IntegralResult:
+    """Exact integral by a candidate scan along the level chain of f.
+
+    The chain (``_level_chain``) depends on f alone, so f keeps it from its
+    first integral on, and every later integral of f, under any semicopula or
+    capacity, reads it.  Candidates are evaluated in ascending order with a
+    strict ``>``, which keeps the smallest attaining threshold.  All
+    comparisons are exact and candidates are evaluated at the stored double
+    values, so no tolerance is involved.  Both lie in [0,1], checked when
+    ``f`` and ``c`` were built: a builtin's formula is called directly on the
+    two floats, and a table's ``evaluate``.
+    """
+    _require_same_space(c, f)
+    chain = f._chain
+    if chain is None:  # threads racing here build equal chains, and any of them may be kept
+        chain = _level_chain(f.values.tolist())
+        object.__setattr__(f, "_chain", chain)
+    levels, masks = chain
+    item = c.table.item
+    formula = _SCALAR_FORMULAS.get(s.kind, s.evaluate)
     best = -1.0
     best_t = 0.0
-    formula = _SCALAR_FORMULAS.get(s.kind, s.evaluate)
-    for v, level in reversed(chain):
-        val = formula(v, table.item(level))
+    for v, level in zip(levels, masks):
+        val = formula(v, item(level))
         if val > best:
             best = val
             best_t = v
-    return IntegralResult(float(best), float(best_t), len(chain))
+    return IntegralResult(float(best), float(best_t), len(levels))
 
 
 # grid thresholds _grid_profile evaluates at once: a few 512 KiB temporaries per chunk

@@ -9,12 +9,17 @@ sets of exactly the thresholds ranked at or below its value, and a
 ``searchsorted`` over the sorted thresholds, which compares stored doubles as
 ``>=`` does, gives that rank.  No point is compared with every threshold.
 Out-of-range values are rejected at construction rather than clamped.
+
+An integrated function keeps its level chain, the O(n) levels and masks
+``integral._level_chain`` builds for the candidate scan: the chain depends on
+the function alone, so its first integral sorts the values and every later
+one, under any semicopula or capacity, reads it.  The chain is a private,
+derived slot that ``repr`` and ``dataclasses.replace`` ignore.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,6 +36,9 @@ class MeasurableFn:
 
     space: FiniteSpace
     values: np.ndarray
+    # the level chain integral._level_chain builds on the first integral of this function, and every
+    # later integral reads: (levels, masks) as array("d") and array("q"); see integral.integrate
+    _chain: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         values = _kept_array(self.values, "function values")
@@ -52,6 +60,7 @@ class MeasurableFn:
         fn = object.__new__(cls)
         object.__setattr__(fn, "space", space)
         object.__setattr__(fn, "values", values)
+        object.__setattr__(fn, "_chain", None)
         return fn
 
     @classmethod
@@ -90,11 +99,15 @@ def _level_masks(values: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
     once (a stable ``argsort``) and ``above = searchsorted(sorted_t, v,
     side="right")`` counts the thresholds ``<= v``: point ``i`` lies in
     ``{v >= sorted_t[j]}`` exactly when ``j < above[i]``.  One ``bincount``
-    sums each row's bits ``2**i`` by their rank ``above`` (threshold-major
-    bins, ``above * rows + row``), a running sum down the ranks gives the bits
-    that have dropped out by each threshold, and the full mask minus that sum
-    is the level set, written back in the caller's threshold order.  The work
-    is O(rows * (n log g + g)) for ``n`` points and ``g`` thresholds.
+    sums each row's bits ``2**i`` by their rank ``above`` (row-major bins,
+    ``row * (g + 1) + above``), a running sum along each row's ranks gives the
+    bits that have dropped out by each threshold, and the full mask minus that
+    sum is the level set, written back in the caller's threshold order.  The
+    work is O(rows * (n log g + g)) for ``n`` points and ``g`` thresholds.
+    Row-major bins keep the running sum's inner loop contiguous: summed down a
+    threshold-major block instead, a 1024-row block strides by 8 KiB, and
+    4000 rows x 128 thresholds in such blocks took 7.3 ms against 5.0 ms
+    (numpy 2.4, 2 vCPUs, best of 15).
 
     The bins are float64.  Each bin and each running sum is a sum of distinct
     powers below ``2**24``, so for the at most 24 points of a space it is
@@ -128,17 +141,17 @@ def _level_masks(values: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
         t = thresholds[j : j + t_step]
         order = t.argsort(kind="stable")
         sorted_t = t[order]
+        ranks = t.size + 1
         for r in range(0, rows.shape[0], row_step):
             block = rows[r : r + row_step]
             m = block.shape[0]
             bins = sorted_t.searchsorted(block, side="right")
-            bins *= m
-            bins += np.arange(m)[:, None]
-            hist = np.bincount(bins.ravel(), weights=weights[None].repeat(m, 0).ravel(), minlength=(t.size + 1) * m)
-            masks = hist[: t.size * m].reshape(t.size, m)  # bin [k, row]: the bits of row whose rank is k
-            np.add.accumulate(masks, axis=0, out=masks)  # the bits that have dropped out by each threshold
+            bins += np.arange(0, m * ranks, ranks)[:, None]
+            hist = np.bincount(bins.ravel(), weights=weights[None].repeat(m, 0).ravel(), minlength=m * ranks)
+            masks = hist.reshape(m, ranks)[:, : t.size]  # bin [row, k]: the bits of row whose rank is k
+            np.add.accumulate(masks, axis=1, out=masks)  # the bits that have dropped out by each threshold
             np.subtract(full, masks, out=masks)
-            out[r : r + m, j + order] = masks.T
+            out[r : r + m, j + order] = masks
     return out if np.ndim(values) == 2 else out[0]
 
 

@@ -777,6 +777,10 @@ def test_from_table_copies_what_the_caller_can_still_write():
         (lambda v: MeasurableFn(FiniteSpace(2), v), "function values"),
         (lambda v: Semicopula("table", v), "table grid"),
         (Semicopula.from_grid, "table grid"),
+        (lambda v: Capacity.from_additive(FiniteSpace(2), v), "additive weights"),
+        (lambda v: Capacity.from_possibility(FiniteSpace(2), v), "possibility weights"),
+        (lambda v: Capacity.from_distortion(Capacity.from_additive(FiniteSpace(1), [1.0]), v), "distortion samples"),
+        (lambda v: validate_table(FiniteSpace(1), v), "capacity table"),
     ],
 )
 @pytest.mark.parametrize("bad", [[[0.0, 0.0], [0.0]], [0.0, [1.0]], ["zero", "one"]])
@@ -784,6 +788,14 @@ def test_ragged_or_text_input_is_a_domain_error_naming_the_array(build, name, ba
     with pytest.raises(DomainError) as err:
         build(bad)
     assert str(err.value) == f"{name} must be a regular array of numbers"
+
+
+def test_validate_table_reads_a_float64_table_without_copying_it():
+    space = FiniteSpace(16)
+    table = random_capacity(space, np.random.default_rng(9)).table
+    assert validate_table(space, table) == []
+    # its temporaries are bool masks (a byte per entry or half entry); a float64 copy alone is table.nbytes
+    assert peak_bytes(lambda: validate_table(space, table)) < table.nbytes // 2
 
 
 @pytest.mark.parametrize("fix_boundaries", [False, True])

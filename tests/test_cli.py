@@ -521,13 +521,33 @@ def test_ragged_semicopula_grid_is_located_like_the_other_grid_errors(tmp_path):
     runs = (
         ("integrate", lambda sc: dict(INSTANCE, semicopula=sc), "/semicopula/grid"),
         ("check-semicopula", lambda sc: {"semicopula": sc}, "/semicopula/grid"),
-        ("check-semicopula", lambda sc: sc, None),  # a bare document: the same place as a value outside [0,1]
+        ("check-semicopula", lambda sc: sc, "/grid"),
     )
     for command, doc, location in runs:
         proc = run_cli(command, write(tmp_path, "r.json", doc(ragged)))
         assert proc.returncode == 2 and proc.stdout == b""
         err = error_of(proc)
         assert err["code"] == "domain" and err["message"] == "table grid must be a regular array of numbers"
-        if location is None:
-            location = error_of(run_cli(command, write(tmp_path, "o.json", doc(out_of_range))))["location"]
         assert err["location"] == location
+        assert error_of(run_cli(command, write(tmp_path, "o.json", doc(out_of_range))))["location"] == location
+
+
+@pytest.mark.parametrize(
+    "command, doc, location",
+    [
+        ("check-semicopula", {"kind": "table", "grid": [[0, 0], [0, 2]]}, "/grid"),
+        ("check-semicopula", {"kind": "table", "grid": [[0, 0], [0, "x"]]}, "/grid/1/1"),
+        ("check-semicopula", {"kind": "nope"}, "/kind"),
+        ("check-semicopula", {"grid": [[0, 0], [0, 1]]}, "/"),
+        ("check-capacity", {"kind": "nope"}, "/kind"),
+        ("check-capacity", {"kind": "table", "n": 2, "values": [0, 0.5, "x", 1]}, "/values/2"),
+        ("check-capacity", {"kind": "table", "n": 2, "values": [0, 1]}, "/values"),
+        ("check-capacity", {"kind": "additive", "weights": [0.5, "a"]}, "/weights/1"),
+        ("check-capacity", {"kind": "table", "values": [0, 1]}, "/"),
+    ],
+)
+def test_errors_in_a_bare_document_are_located_from_its_root(tmp_path, capsys, command, doc, location):
+    assert cli.run([command, write(tmp_path, "d.json", doc)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err)["location"] == location

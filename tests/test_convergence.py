@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from semint import (
     theorem2_audit,
     validate_semicopula,
 )
+from semint import convergence as conv
 
 SPACE = FiniteSpace(4)
 UNIFORM = Capacity.from_additive(SPACE, [0.25] * 4)
@@ -584,3 +586,61 @@ def test_counterexample_facts_over_random_capacities():
 
 def test_epsilon_default_is_tight():
     assert DEFAULT_EPSILON == 1e-9
+
+
+# ---------------------------------------------------------------------------
+# survival values, a block of rows at a time
+
+
+def signed_zero_capacity(space: FiniteSpace, rng: np.random.Generator) -> Capacity:
+    """An additive capacity with zero weight on points 0 and 1, whose zero entries mix 0.0 and -0.0."""
+    w = np.concatenate(([0.0, 0.0], rng.random(space.size - 2) + 0.1))
+    table = Capacity.from_additive(space, w / w.sum()).table.copy()
+    table[:4] = [0.0, -0.0, 0.0, -0.0]
+    return Capacity(space, table)
+
+
+def ref_survival(c: Capacity, seq: FnSequence, grid, tail_start: int) -> tuple:
+    """The survival values from one gather over every row, as _survival computed them before it was blocked."""
+    surv = c.table[conv._level_masks(seq.residual_matrix(), grid)]
+    per_n = surv[:, int(np.argmin(grid))]
+    return tuple(v.hex() for v in per_n.tolist()), tuple(v.hex() for v in surv[tail_start - 1 :].max(axis=0).tolist())
+
+
+@pytest.mark.parametrize("cells", [1, 5, 64, conv._SURVIVAL_BLOCK_CELLS])
+def test_survival_blocks_match_one_gather_bit_for_bit(monkeypatch, cells):
+    monkeypatch.setattr(conv, "_SURVIVAL_BLOCK_CELLS", cells)
+    rng = np.random.default_rng(51)
+    space = FiniteSpace(5)
+    for c in (random_capacity(space, rng), signed_zero_capacity(space, rng)):
+        seq = special_seq(space, 23, rng)
+        # last, 9 residuals on points 0 and 1 only: under the second capacity, masks {0}, {1}, {0, 1}
+        # and {} weigh -0.0, 0.0, -0.0 and 0.0, so a tail of these rows ties 0.0 with -0.0 in turn
+        limit = seq.limit.values.copy()
+        limit[:2] = 0.0
+        values = np.tile(limit, (9, 1))
+        values[:, :2] = [[0.75, 0.0], [0.0, 0.75], [0.75, 0.75], [0.0, 0.0]] * 2 + [[0.75, 0.0]]
+        terms = seq.terms + tuple(MeasurableFn(space, row) for row in values)
+        seq = FnSequence(space, terms, MeasurableFn(space, limit))
+        for grid in ([conv._SMALLEST_POSITIVE], [0.5, 0.01, 1.0, 0.25], default_t_grid()):
+            for tail_start in (1, 2, 12, 24, 26, seq.horizon - 1, seq.horizon):
+                per_n, tail_sups = conv._survival(c, seq, grid, tail_start)
+                got = tuple(v.hex() for v in per_n.tolist()), tuple(v.hex() for v in tail_sups.tolist())
+                assert got == ref_survival(c, seq, grid, tail_start), (cells, grid, tail_start)
+
+
+def test_check_in_capacity_peak_memory_is_bounded_by_one_block():
+    rng = np.random.default_rng(52)
+    space = FiniteSpace(16)
+    c = random_capacity(space, rng)
+    rows = rng.random((4001, space.size))
+    seq = FnSequence(space, tuple(MeasurableFn(space, row) for row in rows[1:]), MeasurableFn(space, rows[0]))
+    grid = np.logspace(-4.0, 0.0, 128)
+    check_strict(c, seq)  # the residuals, built once and kept by the sequence, are not the check's memory
+    tracemalloc.start()
+    try:
+        check_in_capacity(c, seq, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20  # one gather over every row peaked at 9.3 MiB

@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -20,6 +22,7 @@ from semint import (
     integrate,
     integrate_grid_oracle,
     random_capacity,
+    residual,
     shilkret,
     sugeno,
     survival,
@@ -359,3 +362,127 @@ def test_zero_sign_of_the_argmax_is_the_first_in_index_order():
         r = integrate(MIN, c, MeasurableFn(c.space, values))
         assert same_bytes(r.argmax_threshold, values[0])
         assert r.candidates_inspected == 1
+
+
+# ---------------------------------------------------------------------------
+# the level chain a function keeps from its first integral
+
+
+def ref_one_pass(s, c, f):
+    """The one-pass integral as integrate computed it before the chain was kept: built and scanned per call."""
+    table = c.table
+    values = f.values.tolist()
+    chain = []
+    order = sorted(range(len(values)), key=values.__getitem__, reverse=True)
+    mask = 0
+    run = values[order[0]]
+    for i in order:
+        v = values[i]
+        if v != run:
+            chain.append((run, mask))
+            run = v
+        mask |= 1 << i
+    chain.append((run, mask))
+    best = -1.0
+    best_t = 0.0
+    for v, level in reversed(chain):
+        val = s.evaluate(v, table.item(level))
+        if val > best:
+            best = val
+            best_t = v
+    return float(best), float(best_t), len(chain)
+
+
+def fresh(f: MeasurableFn) -> MeasurableFn:
+    """A new function with f's values, which keeps no chain yet."""
+    return MeasurableFn(f.space, f.values)
+
+
+def assert_matches_reference(s, c, f):
+    got = integrate(s, c, f)
+    once = integrate(s, c, fresh(f))
+    value, argmax, candidates = ref_one_pass(s, c, f)
+    for result in (got, once):
+        assert same_bytes(result.value, value), (s.kind, f.values.tolist())
+        assert same_bytes(result.argmax_threshold, argmax), (s.kind, f.values.tolist())
+        assert result.candidates_inspected == candidates
+
+
+def test_the_chain_is_built_once_and_kept_as_arrays(monkeypatch):
+    built = []
+    level_chain = integral._level_chain
+    monkeypatch.setattr(integral, "_level_chain", lambda values: built.append(values) or level_chain(values))
+    f = MeasurableFn(SPACE4, [0.5, 0.25, 0.5, 1.0])
+    assert f._chain is None
+    for s in CHAIN_KINDS:
+        integrate(s, UNIFORM4, f)
+    assert built == [[0.5, 0.25, 0.5, 1.0]]
+    levels, masks = f._chain
+    assert (levels.typecode, masks.typecode) == ("d", "q")
+    assert (levels.tolist(), masks.tolist()) == ([0.25, 0.5, 1.0], [0b1111, 0b1101, 0b1000])
+
+
+def test_a_kept_chain_matches_the_one_pass_under_every_order_of_semicopulas():
+    rng = np.random.default_rng(31)
+    c = rng_capacity(32, 6)
+    for row in chain_rows(6, 6, rng):
+        for kinds in itertools.permutations(CHAIN_KINDS):
+            f = MeasurableFn(c.space, row)
+            for s in kinds:
+                assert_matches_reference(s, c, f)
+
+
+def test_a_kept_chain_serves_every_capacity_on_its_space():
+    rng = np.random.default_rng(33)
+    caps = (rng_capacity(34, 8), Capacity.from_possibility(FiniteSpace(8), [1.0] + [0.5] * 7))
+    for row in chain_rows(8, 30, rng):
+        f = MeasurableFn(caps[0].space, row)
+        for c in caps + caps[::-1]:
+            for s in CHAIN_KINDS:
+                assert_matches_reference(s, c, f)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [0.5, 0.5, 0.5, 0.5],
+        [0.25, 0.75, 0.25, 0.75],
+        [-0.0, 0.0, 0.5, 0.0],
+        [0.0, -0.0, -0.0, 1.0],
+        [0.0, 0.0, -0.0, 0.0],
+        [5e-324, -0.0, 5e-324, 0.0],
+    ],
+)
+def test_a_kept_chain_keeps_ties_and_the_sign_of_zero(values):
+    c = Capacity.from_additive(SPACE4, [0.4, 0.3, 0.2, 0.1])
+    f = MeasurableFn(SPACE4, values)
+    for s in CHAIN_KINDS + CHAIN_KINDS[::-1]:
+        assert_matches_reference(s, c, f)
+    zero = f._chain[0][0]
+    if zero == 0.0:  # the run of zeros carries the sign of its first entry in index order
+        assert same_bytes(zero, next(v for v in values if v == 0.0))
+
+
+def test_a_residual_keeps_its_chain_like_any_function():
+    rng = np.random.default_rng(35)
+    c = rng_capacity(36, 5)
+    for _ in range(20):
+        a, b = (MeasurableFn(c.space, row) for row in chain_rows(5, 2, rng))
+        r = residual(a, b)
+        assert r._chain is None
+        for s in CHAIN_KINDS + CHAIN_KINDS[::-1]:
+            assert_matches_reference(s, c, r)
+        assert r._chain is not None
+
+
+def test_repr_and_replace_never_carry_a_chain():
+    f = MeasurableFn(SPACE4, [0.25, 0.5, 0.75, 1.0])
+    before = repr(f)
+    integrate(MIN, UNIFORM4, f)
+    assert f._chain is not None
+    assert repr(f) == before and "_chain" not in before
+    assert dataclasses.replace(f)._chain is None
+    g = dataclasses.replace(f, values=[1.0, 0.75, 0.5, 0.25])
+    assert g._chain is None
+    assert integrate(MIN, UNIFORM4, g) == integrate(MIN, UNIFORM4, fresh(g))
+    assert g._chain[1].tolist() == [0b1111, 0b0111, 0b0011, 0b0001]
