@@ -15,7 +15,9 @@ The level sets of all candidates come from one pass over the points in
 descending value order (the permutation form of the Sugeno integral; Sugeno
 1974, Grabisch & Labreuche, *4OR* 2008): each point ORs its bit into a
 running mask, and the mask at the end of each run of equal values is the
-level set of that value.  The sort makes that O(n log n).  The chain depends
+level set of that value.  The sort makes that O(n log n).  One kernel,
+``_level_chains``, makes that pass for a block of rows at once, with one
+stable ``argsort`` and one ``np.bitwise_or.accumulate``.  The chain depends
 on f alone, not on S or mu, so a ``MeasurableFn`` keeps it (O(n) memory)
 from its first integral on: integrating it again, under any semicopula or
 capacity, is one O(n) scan of the candidates.  Ties between candidates go to
@@ -59,52 +61,66 @@ class IntegralResult:
         }
 
 
-def _level_chain(values: list[float]) -> tuple[array, array]:
-    """The level sets of every candidate: each tie run's value and the mask of ``{f >= value}``, ascending.
+def _level_chains(rows: np.ndarray) -> list[tuple[array, array]]:
+    """Per row of ``rows``, the level sets of every candidate: each tie run's value and ``{f >= value}``, ascending.
 
-    One stable descending pass over the points: each point ORs its bit into a
-    running mask, and the mask at the end of each run of equal values is the
-    level set of that value.  A tie run's value is its first entry in index
-    order, so ``-0.0`` and ``0.0`` resolve as a set of the values would.
-    Levels are ``array("d")`` and masks ``array("q")``: 472 bytes with the
-    pair that holds them for 16 distinct values, where a tuple of (value,
-    mask) pairs takes about 1.5 KiB.
+    One stable descending sort of each row (``argsort`` of the negated rows
+    with ``kind="stable"``, so tied points keep their index order), one
+    gather of the sorted values, one ``np.bitwise_or.accumulate`` of the
+    points' bits along that order, and one mask marking where each tie run
+    ends: the accumulated mask at a run's end is the level set of its value.
+    A tie run's value is its first entry in index order, so ``-0.0`` and
+    ``0.0`` resolve as a set of the values would, and ``5e-324`` stays above
+    both.  Each row gets its levels as ``array("d")`` and its masks as
+    ``array("q")``: 472 bytes with the pair that holds them for 16 distinct
+    values, where a tuple of (value, mask) pairs takes about 1.5 KiB.
+
+    Temporaries are a few int64 and float64 copies of ``rows``, so callers
+    bound memory by passing a block of rows at a time.  A one-row call costs
+    about 7.6 µs at n = 16, numpy's per-call overhead, where one Python sort
+    took about 2 µs; 4000 rows of 16 take 1.9 ms in one call, where one
+    Python sort per row took 9.2 ms (numpy 2.4, 2 vCPUs, best of 15).
     """
-    order = sorted(range(len(values)), key=values.__getitem__, reverse=True)
-    levels = []
-    masks = []
-    mask = 0
-    run = values[order[0]]
-    for i in order:
-        v = values[i]
-        if v != run:
-            levels.append(run)
-            masks.append(mask)
-            run = v
-        mask |= 1 << i
-    levels.append(run)
-    masks.append(mask)
-    levels.reverse()
-    masks.reverse()
-    return array("d", levels), array("q", masks)
+    m, n = rows.shape
+    order = np.negative(rows).argsort(axis=1, kind="stable")
+    ranked = rows.take(order + np.arange(0, m * n, n)[:, None])  # each row's values in its order
+    masks = np.left_shift(1, order, out=order)
+    np.bitwise_or.accumulate(masks, axis=1, out=masks)
+    ends = np.ones((m, n), dtype=bool)
+    np.not_equal(ranked[:, :-1], ranked[:, 1:], out=ends[:, :-1])
+    starts = np.ones((m, n), dtype=bool)
+    starts[:, 1:] = ends[:, :-1]
+    # reversed columns give each row's runs in ascending order, rows still in order; slicing one array per block
+    # gives each row arrays of its exact size, where array("d", bytes) would over-allocate
+    levels = array("d", ranked[:, ::-1][starts[:, ::-1]].tobytes())
+    kept = array("q", masks[:, ::-1][ends[:, ::-1]].tobytes())
+    chains = []
+    a = 0
+    for runs in ends.sum(axis=1).tolist():
+        chains.append((levels[a : a + runs], kept[a : a + runs]))
+        a += runs
+    return chains
 
 
 def integrate(s: Semicopula, c: Capacity, f: MeasurableFn) -> IntegralResult:
     """Exact integral by a candidate scan along the level chain of f.
 
-    The chain (``_level_chain``) depends on f alone, so f keeps it from its
+    The chain (``_level_chains``) depends on f alone, so f keeps it from its
     first integral on, and every later integral of f, under any semicopula or
-    capacity, reads it.  Candidates are evaluated in ascending order with a
-    strict ``>``, which keeps the smallest attaining threshold.  All
-    comparisons are exact and candidates are evaluated at the stored double
-    values, so no tolerance is involved.  Both lie in [0,1], checked when
-    ``f`` and ``c`` were built: a builtin's formula is called directly on the
-    two floats, and a table's ``evaluate``.
+    capacity, reads it.  A function with no chain yet gets it from a one-row
+    ``_level_chains`` call; ``check_in_mean`` builds the chains of a
+    sequence's residuals in blocks of rows before it integrates them.
+    Candidates are evaluated in ascending order with a strict ``>``, which
+    keeps the smallest attaining threshold.  All comparisons are exact and
+    candidates are evaluated at the stored double values, so no tolerance is
+    involved.  Both lie in [0,1], checked when ``f`` and ``c`` were built: a
+    builtin's formula is called directly on the two floats, and a table's
+    ``evaluate``.
     """
     _require_same_space(c, f)
     chain = f._chain
     if chain is None:  # threads racing here build equal chains, and any of them may be kept
-        chain = _level_chain(f.values.tolist())
+        chain = _level_chains(f.values[None])[0]
         object.__setattr__(f, "_chain", chain)
     levels, masks = chain
     item = c.table.item

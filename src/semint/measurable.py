@@ -11,10 +11,12 @@ sets of exactly the thresholds ranked at or below its value, and a
 Out-of-range values are rejected at construction rather than clamped.
 
 An integrated function keeps its level chain, the O(n) levels and masks
-``integral._level_chain`` builds for the candidate scan: the chain depends on
-the function alone, so its first integral sorts the values and every later
-one, under any semicopula or capacity, reads it.  The chain is a private,
-derived slot that ``repr`` and ``dataclasses.replace`` ignore.
+``integral._level_chains`` builds for the candidate scan: the chain depends
+on the function alone, so it is built once, by the function's first
+integral or, for a sequence's residuals, by the first in-mean check in one
+batched call per block of rows, and every later integral, under any
+semicopula or capacity, reads it.  The chain is a private, derived slot that
+``repr`` and ``dataclasses.replace`` ignore.
 """
 
 from __future__ import annotations
@@ -36,8 +38,8 @@ class MeasurableFn:
 
     space: FiniteSpace
     values: np.ndarray
-    # the level chain integral._level_chain builds on the first integral of this function, and every
-    # later integral reads: (levels, masks) as array("d") and array("q"); see integral.integrate
+    # the level chain integral._level_chains builds before the first integral of this function, and
+    # every later integral reads: (levels, masks) as array("d") and array("q"); see integral.integrate
     _chain: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:

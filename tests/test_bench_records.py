@@ -64,3 +64,15 @@ def test_every_pair_has_both_sides_once(path):
         assert (workload, pair, "parent") in sides and (workload, pair, "change") in sides, (workload, pair)
         seeds = {run["seed"] for run in runs if (run["workload"], run["pair"]) == (workload, pair)}
         assert len(seeds) == 1, (workload, pair)  # both sides of a pair ran the same inputs
+
+
+@pytest.mark.parametrize("path", RECORDS, ids=lambda p: p.name)
+def test_the_claim_names_a_declared_metric_and_rests_on_ten_complete_pairs(path):
+    record = load(path)
+    claim = record["claim"]
+    better = {m["name"]: m["better"] for m in SPEC["end_to_end"]}
+    assert claim["workload"] in {w["name"] for w in SPEC["workloads"]}
+    assert claim["metric"] in better and claim["better"] == better[claim["metric"]]
+    sides = {(run["pair"], run["side"]) for run in record["runs"] if run["workload"] == claim["workload"]}
+    complete = {pair for pair, side in sides if side == "parent" and (pair, "change") in sides}
+    assert len(complete) >= 10

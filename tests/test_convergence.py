@@ -38,6 +38,7 @@ from semint import (
     validate_semicopula,
 )
 from semint import convergence as conv
+from semint import integral
 
 SPACE = FiniteSpace(4)
 UNIFORM = Capacity.from_additive(SPACE, [0.25] * 4)
@@ -111,6 +112,12 @@ def test_in_capacity_rejects_bad_grid():
         check_in_capacity(UNIFORM, seq, [0.5, 1.1])
     with pytest.raises(BadGridError):
         check_in_capacity(UNIFORM, seq, [])
+
+
+@pytest.mark.parametrize("grid", [[[0.5], [0.5, 0.1]], ["a", "b"], [{}]], ids=["ragged", "text", "object"])
+def test_in_capacity_locates_a_grid_that_is_not_a_list_of_numbers(grid):
+    with pytest.raises(BadGridError, match="t_grid must be a nonempty 1-d list of thresholds"):
+        check_in_capacity(UNIFORM, stationary_seq(), grid)
 
 
 def test_tail_start_range_checked():
@@ -271,6 +278,74 @@ def test_residual_matrix_equals_the_stacked_difference_byte_for_byte(n):
         assert got.tobytes() == want.tobytes()  # the sign of zero included
         rows = [residual(t, seq.limit).values.tobytes() for t in seq.terms]
         assert [row.tobytes() for row in got] == rows
+
+
+def test_residual_matrix_is_built_once_shared_and_read_only():
+    rng = np.random.default_rng(44)
+    space = FiniteSpace(5)
+    seq = special_seq(space, 12, rng)
+    before = repr(seq)
+    matrix = seq.residual_matrix()
+    assert seq.residual_matrix() is matrix
+    assert not matrix.flags.writeable
+    with pytest.raises(ValueError):
+        matrix[0, 0] = 0.5
+    assert repr(seq) == before and "_matrix" not in before
+    for k, r in enumerate(conv._residuals(seq)):  # each residual keeps its row of the matrix, not a copy
+        assert r.values.base is matrix and np.shares_memory(r.values, matrix[k])
+        with pytest.raises(ValueError):
+            r.values[0] = 0.5
+    check_strict(random_capacity(space, rng), seq)
+    assert seq.residual_matrix() is matrix
+
+
+def scalar_integral(s: Semicopula, c: Capacity, values: list[float]) -> float:
+    """The integral from its definition at the candidates, one point at a time: each distinct value v, in
+    ascending order (a set keeps the first of -0.0 and 0.0 in index order), against mu({r >= v})."""
+    best = -1.0
+    for v in sorted(set(values)):
+        mask = sum(1 << i for i, x in enumerate(values) if x >= v)
+        best = max(best, s.evaluate(v, c.table.item(mask)))
+    return best
+
+
+@pytest.mark.parametrize("block", [1, 3, conv._CHAIN_BLOCK_ROWS])
+def test_in_mean_over_batched_chains_matches_scalar_integrals_bit_for_bit(monkeypatch, block):
+    monkeypatch.setattr(conv, "_CHAIN_BLOCK_ROWS", block)
+    rng = np.random.default_rng(45)
+    space = FiniteSpace(6)
+    c = random_capacity(space, rng)
+    assert IN_MEAN_KINDS[-1].kind == "table"
+    for horizon in (1, 2, 7, 40):
+        seq = special_seq(space, horizon, rng)
+        rows = np.abs(np.stack([t.values for t in seq.terms]) - seq.limit.values).tolist()
+        for s in IN_MEAN_KINDS:
+            got = check_in_mean(s, c, seq, 0.0).per_n
+            want = [scalar_integral(s, c, row) for row in rows]
+            assert [v.hex() for v in got] == [v.hex() for v in want], (block, horizon, s.kind)
+
+
+def test_the_first_in_mean_check_builds_every_chain_in_one_kernel_call_per_block(monkeypatch):
+    monkeypatch.setattr(conv, "_CHAIN_BLOCK_ROWS", 4)
+    blocks = []
+    kernel = conv._level_chains
+    monkeypatch.setattr(conv, "_level_chains", lambda rows: blocks.append(rows.shape[0]) or kernel(rows))
+    one_row = []
+    monkeypatch.setattr(integral, "_level_chains", lambda rows: one_row.append(rows) or kernel(rows))
+    rng = np.random.default_rng(46)
+    space = FiniteSpace(5)
+    caps = (random_capacity(space, rng), random_capacity(space, rng))
+    seq = special_seq(space, 10, rng)
+    check_strict(caps[0], seq)
+    check_in_capacity(caps[0], seq)
+    assert blocks == []
+    for c in caps:
+        for s in IN_MEAN_KINDS:
+            check_in_mean(s, c, seq)
+    theorem2_audit(MIN, caps[1], seq)
+    assert blocks == [4, 4, 2]
+    assert one_row == []  # integrate found every chain built
+    assert all(r._chain is not None for r in conv._residuals(seq))
 
 
 # ---------------------------------------------------------------------------
@@ -644,3 +719,21 @@ def test_check_in_capacity_peak_memory_is_bounded_by_one_block():
     finally:
         tracemalloc.stop()
     assert peak < 6 * 2**20  # one gather over every row peaked at 9.3 MiB
+
+
+def test_the_first_in_mean_check_peak_memory_is_its_chains_plus_one_block():
+    rng = np.random.default_rng(53)
+    space = FiniteSpace(16)
+    c = random_capacity(space, rng)
+    rows = rng.random((4001, space.size))
+    seq = FnSequence(space, tuple(MeasurableFn(space, row) for row in rows[1:]), MeasurableFn(space, rows[0]))
+    check_strict(c, seq)  # the residuals and their matrix, kept by the sequence, are not the check's memory
+    tracemalloc.start()
+    try:
+        check_in_mean(MIN, c, seq)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the 4000 chains the sequence keeps take about 1.8 MiB and a block of 1024 rows about 0.5 more;
+    # blocks of 2048 rows peaked at 2.8 MiB and one block of every row at 3.9
+    assert kept > 1.5 * 2**20 and peak < 2.6 * 2**20

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import tracemalloc
+from array import array
 
 import numpy as np
 import pytest
@@ -393,6 +394,56 @@ def ref_one_pass(s, c, f):
     return float(best), float(best_t), len(chain)
 
 
+def ref_level_chain(values: list[float]) -> tuple[array, array]:
+    """The chain of one function as the per-row pass built it before ``_level_chains``: one Python sort per row."""
+    order = sorted(range(len(values)), key=values.__getitem__, reverse=True)
+    levels = []
+    masks = []
+    mask = 0
+    run = values[order[0]]
+    for i in order:
+        v = values[i]
+        if v != run:
+            levels.append(run)
+            masks.append(mask)
+            run = v
+        mask |= 1 << i
+    levels.append(run)
+    masks.append(mask)
+    levels.reverse()
+    masks.reverse()
+    return array("d", levels), array("q", masks)
+
+
+def chain_bytes(chain: tuple[array, array]) -> tuple:
+    """A chain's typecodes and contents, with the sign of a zero level kept."""
+    levels, masks = chain
+    return levels.typecode, levels.tobytes(), masks.typecode, masks.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 16, 24])
+def test_level_chains_match_the_per_row_pass_bit_for_bit(n):
+    rng = np.random.default_rng([n, 61])
+    rows = chain_rows(n, 90, rng)
+    rows[::10] = 0.0
+    rows[5::10] = -0.0
+    rows[7::10] = rng.choice([0.0, -0.0, 5e-324], rows[7::10].shape)
+    got = integral._level_chains(rows)
+    assert len(got) == rows.shape[0]
+    for row, chain in zip(rows.tolist(), got):
+        assert chain_bytes(chain) == chain_bytes(ref_level_chain(row)), row
+    for k in (0, 1, rows.shape[0] - 1):  # one row alone, as integrate passes it, gives the same chain
+        assert chain_bytes(integral._level_chains(rows[k : k + 1])[0]) == chain_bytes(got[k])
+
+
+def test_level_chains_keep_each_row_in_its_place():
+    rows = np.array([[0.5, 0.25, 0.5, 1.0], [0.0, -0.0, 0.0, 0.0], [-0.0, 5e-324, 0.0, 1.0]])
+    levels, masks = zip(*integral._level_chains(rows))
+    assert [x.tolist() for x in levels] == [[0.25, 0.5, 1.0], [0.0], [0.0, 5e-324, 1.0]]
+    assert [x.tolist() for x in masks] == [[0b1111, 0b1101, 0b1000], [0b1111], [0b1111, 0b1010, 0b1000]]
+    assert [v.hex() for v in (levels[1][0], levels[2][0])] == [(0.0).hex(), (-0.0).hex()]
+
+
 def fresh(f: MeasurableFn) -> MeasurableFn:
     """A new function with f's values, which keeps no chain yet."""
     return MeasurableFn(f.space, f.values)
@@ -410,13 +461,13 @@ def assert_matches_reference(s, c, f):
 
 def test_the_chain_is_built_once_and_kept_as_arrays(monkeypatch):
     built = []
-    level_chain = integral._level_chain
-    monkeypatch.setattr(integral, "_level_chain", lambda values: built.append(values) or level_chain(values))
+    level_chains = integral._level_chains
+    monkeypatch.setattr(integral, "_level_chains", lambda rows: built.append(rows.tolist()) or level_chains(rows))
     f = MeasurableFn(SPACE4, [0.5, 0.25, 0.5, 1.0])
     assert f._chain is None
     for s in CHAIN_KINDS:
         integrate(s, UNIFORM4, f)
-    assert built == [[0.5, 0.25, 0.5, 1.0]]
+    assert built == [[[0.5, 0.25, 0.5, 1.0]]]  # one one-row call
     levels, masks = f._chain
     assert (levels.typecode, masks.typecode) == ("d", "q")
     assert (levels.tolist(), masks.tolist()) == ([0.25, 0.5, 1.0], [0b1111, 0b1101, 0b1000])
