@@ -312,15 +312,20 @@ def parse_semicopula(doc, loc: str) -> Semicopula:
     raise SchemaError(f"unknown semicopula kind {kind!r}", f"{loc}/kind")
 
 
-def parse_function(doc, space: FiniteSpace, loc: str) -> MeasurableFn:
-    obj = _as_obj(doc, loc)
-    values = _num_list(_get(obj, "values", loc), f"{loc}/values")
+def _fn_values(x, space: FiniteSpace, loc: str) -> MeasurableFn:
+    """The function over ``space`` whose value list ``x`` sits at ``loc``."""
+    values = _num_list(x, loc)
     if len(values) != space.size:
-        raise SchemaError(f"need {space.size} values, got {len(values)}", f"{loc}/values")
+        raise SchemaError(f"need {space.size} values, got {len(values)}", loc)
     try:
         return MeasurableFn(space, values)
     except SemintError as e:
-        raise _located(e, f"{loc}/values")
+        raise _located(e, loc)
+
+
+def parse_function(doc, space: FiniteSpace, loc: str) -> MeasurableFn:
+    obj = _as_obj(doc, loc)
+    return _fn_values(_get(obj, "values", loc), space, f"{loc}/values")
 
 
 def _parse_point_instance(doc) -> tuple[FiniteSpace, Capacity, Semicopula, MeasurableFn]:
@@ -378,11 +383,8 @@ def _parse_sequence(doc, space: FiniteSpace, params: dict, loc: str) -> FnSequen
         term_rows = _as_list(_get(obj, "terms", loc), f"{loc}/terms")
         if not term_rows:
             raise SchemaError("terms must be nonempty", f"{loc}/terms")
-        terms = [
-            parse_function({"values": row}, space, f"{loc}/terms/{i}")
-            for i, row in enumerate(term_rows)
-        ]
-        limit = parse_function({"values": _get(obj, "limit", loc)}, space, f"{loc}/limit")
+        terms = [_fn_values(row, space, f"{loc}/terms/{i}") for i, row in enumerate(term_rows)]
+        limit = _fn_values(_get(obj, "limit", loc), space, f"{loc}/limit")
         if "horizon" in params and params["horizon"] != len(terms):
             raise SchemaError(
                 f"params.horizon={params['horizon']} but the sequence has {len(terms)} terms",

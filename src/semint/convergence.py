@@ -6,15 +6,14 @@ Three modes are checked for a truncated sequence (f_n) with limit candidate f:
 * strictly:      mu({|f_n - f| > 0}) -> 0
 * in mean:       the seminormed integral of |f_n - f| -> 0
 
-A sequence computes its residuals |f_n - f| once, on its first check of any
-mode, and keeps them with the read-only matrix of their values: every later
-check on the same sequence (one in-mean check per semicopula, say) reads the
-same residual functions, and the survival checks read the matrix.  The first
-in-mean check builds every residual's level chain from that matrix, one
-batched ``integral._level_chains`` call per block of rows, so no in-mean
-check sorts a residual on its own.  The audits
-share their strict hypothesis the same way: a sequence keeps the last one it
-was audited under, keyed by (capacity, epsilon, tail_start).
+A sequence builds what its checks read once, at construction: its residuals
+|f_n - f|, the read-only matrix of their values and every residual's level
+chain, one batched ``integral._level_chains`` call per block of rows.  The
+survival checks read the matrix and every in-mean check, under any
+semicopula or capacity, reads the chains, so no check sorts a residual or
+writes to the sequence.  The audits share their strict hypothesis through a
+memo: a sequence keeps the last one it was audited under, keyed by
+(capacity, epsilon, tail_start).
 
 A limit over n is not machine-checkable, so a verdict here means: beyond
 ``tail_start`` the witnessed quantity stays within ``epsilon`` over the
@@ -74,6 +73,13 @@ def default_tail_start(horizon: int) -> int:
     return (horizon + 1) // 2
 
 
+# residual rows FnSequence.__post_init__ passes to _level_chains at once: a few 128 KiB temporaries at n = 16.
+# At 4000 x 16 the chains took 1.9-2.5 ms in blocks of 512 to 2048 rows and 2.8-3.0 ms in one block, and
+# building the sequence peaked at 3.2, 3.5, 3.9 and 5.1 MiB of tracemalloc in blocks of 512, 1024 and 2048
+# rows and in one block (numpy 2.4, 2 vCPUs, best of 9)
+_CHAIN_BLOCK_ROWS = 1024
+
+
 @dataclass(frozen=True, slots=True, eq=False)
 class FnSequence:
     """A finite truncation of a function sequence plus its limit candidate."""
@@ -82,21 +88,36 @@ class FnSequence:
     terms: tuple[MeasurableFn, ...]
     limit: MeasurableFn
     provenance: str = ""
-    # |f_n - f| per term and the read-only matrix of their values, whose rows they keep, both built on
-    # first use by _residuals and read by every check, and the audits' last strict hypothesis,
-    # ((capacity, epsilon, tail_start), report), set by _strict_hypothesis; threads racing on one
-    # sequence build equal entries, and any of them may be kept
-    _residuals: tuple[MeasurableFn, ...] | None = field(default=None, init=False, repr=False, compare=False)
-    _matrix: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    # built by __post_init__ and read by every check: |f_n - f| per term, each with its level chain and
+    # with its values a row of the read-only matrix; and the audits' last strict hypothesis,
+    # ((capacity, epsilon, tail_start), report), set by _strict_hypothesis
+    _residuals: tuple[MeasurableFn, ...] = field(init=False, repr=False, compare=False)
+    _matrix: np.ndarray = field(init=False, repr=False, compare=False)
     _hypothesis: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        """Build the residuals, one ``residual`` call per term, their matrix, and their chains.
+
+        Each residual then keeps its row of the matrix, a view, in place of
+        its own copy, so the values are held once; the chains come from
+        ``_level_chains`` over ``_CHAIN_BLOCK_ROWS`` rows at a time.  Only
+        objects built here are written to.
+        """
         object.__setattr__(self, "terms", tuple(self.terms))
         if not self.terms:
             raise DomainError("sequence needs at least one term")
-        for term in self.terms:
-            _require_same_space(term, self.limit)
+        residuals = tuple(residual(term, self.limit) for term in self.terms)  # checks each term's space
         _require_same_space(self.limit, self)
+        matrix = np.stack([r.values for r in residuals])
+        matrix.setflags(write=False)
+        for r, row in zip(residuals, matrix):  # frees each residual's own copy before the chain blocks run
+            object.__setattr__(r, "values", row)
+        for k in range(0, len(residuals), _CHAIN_BLOCK_ROWS):
+            block = residuals[k : k + _CHAIN_BLOCK_ROWS]
+            for r, chain in zip(block, _level_chains(matrix[k : k + _CHAIN_BLOCK_ROWS])):
+                object.__setattr__(r, "_chain", chain)
+        object.__setattr__(self, "_residuals", residuals)
+        object.__setattr__(self, "_matrix", matrix)
 
     @property
     def horizon(self) -> int:
@@ -108,7 +129,6 @@ class FnSequence:
         The sequence builds this matrix once and returns the same read-only
         array on every call; each residual's ``values`` is a row of it.
         """
-        _residuals(self)
         return self._matrix
 
 
@@ -166,10 +186,9 @@ def _checked_tail_start(c: Capacity, seq: FnSequence, epsilon: float, tail_start
     return _tail_start(seq.horizon, tail_start)
 
 
-# rows x thresholds cells _survival gathers at once, well below a _LEVEL_BLOCK_CELLS block: 256 KiB each for
-# a block's masks and survival values, which stay in cache.  check_in_capacity at 4000 x 128
-# took 6.1 ms in blocks of 2**15 cells, 7.1-7.7 ms in blocks of 2**17 and 7.8-8.0 ms in one block
-# (numpy 2.4, 2 vCPUs, best of 9)
+# rows x thresholds cells _survival gathers at once: 256 KiB each for a block's masks and survival values,
+# which stay in cache.  check_in_capacity at 4000 x 128 took 6.1 ms in blocks of 2**15 cells, 7.1-7.7 ms
+# in blocks of 2**17 and 7.8-8.0 ms in one block (numpy 2.4, 2 vCPUs, best of 9)
 _SURVIVAL_BLOCK_CELLS = 1 << 15
 
 
@@ -196,49 +215,6 @@ def _survival(c: Capacity, seq: FnSequence, grid, tail_start: int) -> tuple[np.n
             sups = tail.max(axis=0)
             tail_sups = sups if tail_sups is None else np.maximum(tail_sups, sups, out=tail_sups)
     return per_n, tail_sups
-
-
-def _residuals(seq: FnSequence) -> tuple[MeasurableFn, ...]:
-    """The residuals |f_n - f| of ``seq``, one ``residual`` call per term over the sequence's life.
-
-    Their values are stacked into the sequence's read-only residual matrix,
-    and each residual then keeps its row of that matrix, a view, in place of
-    its own copy, so the values are held once.
-    """
-    if seq._residuals is None:
-        residuals = tuple(residual(term, seq.limit) for term in seq.terms)
-        matrix = np.stack([r.values for r in residuals])
-        matrix.setflags(write=False)
-        for r, row in zip(residuals, matrix):
-            object.__setattr__(r, "values", row)
-        object.__setattr__(seq, "_matrix", matrix)  # set first: a reader that sees _residuals sees it
-        object.__setattr__(seq, "_residuals", residuals)
-    return seq._residuals
-
-
-# residual rows _chained_residuals passes to _level_chains at once: a few 128 KiB temporaries at n = 16.
-# The first in-mean check at 4000 x 16 built its chains in 2.7 ms in blocks of 512 or 1024 rows and in
-# 3.2 ms in blocks of 2048, and blocks of 2048 raised the long-horizon op's tracemalloc peak from 4.8 to
-# 5.4 MiB, where blocks of 1024 kept it at 4.8 (numpy 2.4, 2 vCPUs, best of 9)
-_CHAIN_BLOCK_ROWS = 1024
-
-
-def _chained_residuals(seq: FnSequence) -> tuple[MeasurableFn, ...]:
-    """The residuals of ``seq``, each with its level chain, built for all of them on the first call.
-
-    The chains come from ``_level_chains`` over ``_CHAIN_BLOCK_ROWS`` rows of
-    the residual matrix at a time, so the first in-mean check on a sequence
-    sorts every residual in a few numpy calls, and later checks, under any
-    semicopula or capacity, find every chain built.
-    """
-    residuals = _residuals(seq)
-    if residuals[0]._chain is None:
-        rows = seq._matrix
-        for r in range(0, len(residuals), _CHAIN_BLOCK_ROWS):
-            block = residuals[r : r + _CHAIN_BLOCK_ROWS]
-            for fn, chain in zip(block, _level_chains(rows[r : r + _CHAIN_BLOCK_ROWS])):
-                object.__setattr__(fn, "_chain", chain)
-    return residuals
 
 
 def _report(
@@ -302,7 +278,7 @@ def check_in_mean(
 ) -> ConvergenceReport:
     """Tail check of the seminormed integral of |f_n - f|, over the residuals and chains the sequence keeps."""
     tail_start = _checked_tail_start(c, seq, epsilon, tail_start)
-    values = [integrate(s, c, r).value for r in _chained_residuals(seq)]
+    values = [integrate(s, c, r).value for r in seq._residuals]
     return _report(MODE_IN_MEAN, seq, epsilon, tail_start, values, max(values[tail_start - 1 :]))
 
 

@@ -18,10 +18,11 @@ running mask, and the mask at the end of each run of equal values is the
 level set of that value.  The sort makes that O(n log n).  One kernel,
 ``_level_chains``, makes that pass for a block of rows at once, with one
 stable ``argsort`` and one ``np.bitwise_or.accumulate``.  The chain depends
-on f alone, not on S or mu, so a ``MeasurableFn`` keeps it (O(n) memory)
-from its first integral on: integrating it again, under any semicopula or
-capacity, is one O(n) scan of the candidates.  Ties between candidates go to
-the smallest attaining threshold.
+on f alone, not on S or mu, so a ``FnSequence`` builds its residuals' chains
+(O(n) memory each) once, at construction, and every integral of a residual,
+under any semicopula or capacity, is one O(n) scan of the candidates.  Any
+other function gets its chain from a one-row call per integral.  Ties
+between candidates go to the smallest attaining threshold.
 ``integrate_grid_oracle`` is the direct transcription of the supremum onto a
 dense threshold grid, kept solely to cross-check the exact value; it can only
 undershoot.
@@ -105,11 +106,9 @@ def _level_chains(rows: np.ndarray) -> list[tuple[array, array]]:
 def integrate(s: Semicopula, c: Capacity, f: MeasurableFn) -> IntegralResult:
     """Exact integral by a candidate scan along the level chain of f.
 
-    The chain (``_level_chains``) depends on f alone, so f keeps it from its
-    first integral on, and every later integral of f, under any semicopula or
-    capacity, reads it.  A function with no chain yet gets it from a one-row
-    ``_level_chains`` call; ``check_in_mean`` builds the chains of a
-    sequence's residuals in blocks of rows before it integrates them.
+    The chain (``_level_chains``) depends on f alone.  A sequence's residual
+    keeps the one its sequence built; any other function gets it from a
+    one-row ``_level_chains`` call, and ``f`` is never written to.
     Candidates are evaluated in ascending order with a strict ``>``, which
     keeps the smallest attaining threshold.  All comparisons are exact and
     candidates are evaluated at the stored double values, so no tolerance is
@@ -118,11 +117,7 @@ def integrate(s: Semicopula, c: Capacity, f: MeasurableFn) -> IntegralResult:
     ``evaluate``.
     """
     _require_same_space(c, f)
-    chain = f._chain
-    if chain is None:  # threads racing here build equal chains, and any of them may be kept
-        chain = _level_chains(f.values[None])[0]
-        object.__setattr__(f, "_chain", chain)
-    levels, masks = chain
+    levels, masks = f._chain or _level_chains(f.values[None])[0]
     item = c.table.item
     formula = _SCALAR_FORMULAS.get(s.kind, s.evaluate)
     best = -1.0

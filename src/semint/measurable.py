@@ -10,13 +10,13 @@ sets of exactly the thresholds ranked at or below its value, and a
 ``>=`` does, gives that rank.  No point is compared with every threshold.
 Out-of-range values are rejected at construction rather than clamped.
 
-An integrated function keeps its level chain, the O(n) levels and masks
+A sequence's residual keeps its level chain, the O(n) levels and masks
 ``integral._level_chains`` builds for the candidate scan: the chain depends
-on the function alone, so it is built once, by the function's first
-integral or, for a sequence's residuals, by the first in-mean check in one
-batched call per block of rows, and every later integral, under any
-semicopula or capacity, reads it.  The chain is a private, derived slot that
-``repr`` and ``dataclasses.replace`` ignore.
+on the function alone, so ``FnSequence`` builds every residual's chain once,
+at construction, in one batched call per block of rows, and every integral
+of the residual, under any semicopula or capacity, reads it.  Any other
+function keeps no chain: ``integrate`` builds one per call.  The chain is a
+private, derived slot that ``repr`` and ``dataclasses.replace`` ignore.
 """
 
 from __future__ import annotations
@@ -38,8 +38,8 @@ class MeasurableFn:
 
     space: FiniteSpace
     values: np.ndarray
-    # the level chain integral._level_chains builds before the first integral of this function, and
-    # every later integral reads: (levels, masks) as array("d") and array("q"); see integral.integrate
+    # a residual's level chain, (levels, masks) as array("d") and array("q"), which its FnSequence builds
+    # with integral._level_chains and every integral of it reads; None for any other function
     _chain: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -83,9 +83,6 @@ def _require_same_space(a, b) -> None:
         raise SpaceMismatchError(f"spaces differ: {a.space.size} vs {b.space.size} points")
 
 
-# cells a _level_masks block holds at once: rows x (thresholds + points), 8 MiB at 8 bytes a cell
-_LEVEL_BLOCK_CELLS = 1 << 20
-
 # 2**i as float64 for every point a space can have: below 2**24, sums of distinct ones are exact
 _BIT_WEIGHTS = np.ldexp(1.0, np.arange(24))
 
@@ -97,8 +94,8 @@ def _level_masks(values: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
     or a single row of points, giving one mask per threshold.
 
     Rank form: a row's level sets shrink along the sorted thresholds, so each
-    point drops out of them at one rank.  Per block the thresholds are sorted
-    once (a stable ``argsort``) and ``above = searchsorted(sorted_t, v,
+    point drops out of them at one rank.  The thresholds are sorted once (a
+    stable ``argsort``) and ``above = searchsorted(sorted_t, v,
     side="right")`` counts the thresholds ``<= v``: point ``i`` lies in
     ``{v >= sorted_t[j]}`` exactly when ``j < above[i]``.  One ``bincount``
     sums each row's bits ``2**i`` by their rank ``above`` (row-major bins,
@@ -106,10 +103,10 @@ def _level_masks(values: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
     bits that have dropped out by each threshold, and the full mask minus that
     sum is the level set, written back in the caller's threshold order.  The
     work is O(rows * (n log g + g)) for ``n`` points and ``g`` thresholds.
-    Row-major bins keep the running sum's inner loop contiguous: summed down a
-    threshold-major block instead, a 1024-row block strides by 8 KiB, and
-    4000 rows x 128 thresholds in such blocks took 7.3 ms against 5.0 ms
-    (numpy 2.4, 2 vCPUs, best of 15).
+    Row-major bins keep the running sum's inner loop contiguous: summed down
+    threshold-major bins of 1024 rows instead, it strides by 8 KiB, and
+    4000 rows x 128 thresholds that way took 7.3 ms against 5.0 ms (numpy
+    2.4, 2 vCPUs, best of 15).
 
     The bins are float64.  Each bin and each running sum is a sum of distinct
     powers below ``2**24``, so for the at most 24 points of a space it is
@@ -117,12 +114,11 @@ def _level_masks(values: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
     stored doubles as ``>=`` does: ``-0.0`` equals ``0.0``, ``5e-324`` is
     above both, and a value tied with a threshold is in its level set.
 
-    Memory is bounded per block.  A block is a range of rows, or a range of
-    one row's thresholds when a row alone is larger, of at most
-    ``_LEVEL_BLOCK_CELLS`` cells: one per row and threshold (its 8-byte
-    histogram bin, summed in place) and one per row and point (its rank and
-    its weight, 8 bytes each).  Besides the int64 result, a block holds at
-    most about 8 MiB; no rows x thresholds x points array is built.
+    Besides the int64 result, the temporaries are one 8-byte histogram bin
+    per row and threshold, summed in place, a rank and a weight per row and
+    point, and the sorted thresholds; no rows x thresholds x points array is
+    built.  ``_survival`` passes its rows a block at a time; the other
+    callers pass one row.
 
     Neither a value nor a threshold may be NaN: the sort puts NaN above every
     number, so a NaN value would fall in every level set rather than none.
@@ -132,28 +128,17 @@ def _level_masks(values: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
     """
     thresholds = np.asarray(thresholds, dtype=np.float64)
     rows = np.atleast_2d(values)
-    n = rows.shape[1]
+    m, n = rows.shape
     g = thresholds.size
-    weights = _BIT_WEIGHTS[:n]
-    full = float((1 << n) - 1)
-    row_step = max(1, _LEVEL_BLOCK_CELLS // (g + n))
-    t_step = max(1, _LEVEL_BLOCK_CELLS // row_step - n)  # below g only when one row alone is larger
-    out = np.empty((rows.shape[0], g), dtype=np.int64)
-    for j in range(0, g, t_step):
-        t = thresholds[j : j + t_step]
-        order = t.argsort(kind="stable")
-        sorted_t = t[order]
-        ranks = t.size + 1
-        for r in range(0, rows.shape[0], row_step):
-            block = rows[r : r + row_step]
-            m = block.shape[0]
-            bins = sorted_t.searchsorted(block, side="right")
-            bins += np.arange(0, m * ranks, ranks)[:, None]
-            hist = np.bincount(bins.ravel(), weights=weights[None].repeat(m, 0).ravel(), minlength=m * ranks)
-            masks = hist.reshape(m, ranks)[:, : t.size]  # bin [row, k]: the bits of row whose rank is k
-            np.add.accumulate(masks, axis=1, out=masks)  # the bits that have dropped out by each threshold
-            np.subtract(full, masks, out=masks)
-            out[r : r + m, j + order] = masks
+    order = thresholds.argsort(kind="stable")
+    bins = thresholds[order].searchsorted(rows, side="right")
+    bins += np.arange(0, m * (g + 1), g + 1)[:, None]
+    hist = np.bincount(bins.ravel(), weights=_BIT_WEIGHTS[:n][None].repeat(m, 0).ravel(), minlength=m * (g + 1))
+    masks = hist.reshape(m, g + 1)[:, :g]  # bin [row, k]: the bits of row whose rank is k
+    np.add.accumulate(masks, axis=1, out=masks)  # the bits that have dropped out by each threshold
+    np.subtract(float((1 << n) - 1), masks, out=masks)
+    out = np.empty((m, g), dtype=np.int64)
+    out[:, order] = masks
     return out if np.ndim(values) == 2 else out[0]
 
 

@@ -139,7 +139,7 @@ class Semicopula:
         if kind == "lukasiewicz":
             out = np.maximum(a + b - 1.0, 0.0)
             out = np.where(a == 1.0, b, out)
-            return np.where(b == 1.0, np.broadcast_to(a, out.shape), out)
+            return np.where(b == 1.0, np.broadcast_to(a, out.shape), out)[()]  # a scalar for 0-d arguments
         return self._table_eval(a, b)
 
     def _table_eval(self, a: np.ndarray, b: np.ndarray):

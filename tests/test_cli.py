@@ -222,6 +222,27 @@ def test_converge_explicit_sequence_passes(tmp_path):
     assert json.loads(proc.stdout)["all_pass"] is True
 
 
+@pytest.mark.parametrize(
+    "sequence, location",
+    [
+        ({"terms": [[0.1, 0.2], [0.3, "x"]], "limit": [0.0, 0.0]}, "/sequence/terms/1/1"),
+        ({"terms": [[0.1, 0.2], 0.3], "limit": [0.0, 0.0]}, "/sequence/terms/1"),
+        ({"terms": [[0.1, 0.2], [0.3, 1.5]], "limit": [0.0, 0.0]}, "/sequence/terms/1"),
+        ({"terms": [[0.1, 0.2]], "limit": [0.0, 0.0, 0.0]}, "/sequence/limit"),
+        ({"terms": [[0.1, 0.2]], "limit": [0.0, "x"]}, "/sequence/limit/1"),
+        ({"terms": [[0.1, 0.2]], "limit": "x"}, "/sequence/limit"),
+    ],
+)
+def test_errors_in_an_explicit_sequence_are_located_at_its_value_lists(tmp_path, capsys, sequence, location):
+    doc = dict(INSTANCE, space={"n": 2}, capacity={"kind": "additive", "weights": [0.5, 0.5]})
+    del doc["function"]
+    doc["sequence"] = {"kind": "explicit", **sequence}
+    assert cli.run(["converge", write(tmp_path, "s.json", doc)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err)["location"] == location
+
+
 def test_converge_horizon_mismatch_is_schema_error(tmp_path):
     doc = {
         "space": {"n": 1},

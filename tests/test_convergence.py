@@ -291,7 +291,7 @@ def test_residual_matrix_is_built_once_shared_and_read_only():
     with pytest.raises(ValueError):
         matrix[0, 0] = 0.5
     assert repr(seq) == before and "_matrix" not in before
-    for k, r in enumerate(conv._residuals(seq)):  # each residual keeps its row of the matrix, not a copy
+    for k, r in enumerate(seq._residuals):  # each residual keeps its row of the matrix, not a copy
         assert r.values.base is matrix and np.shares_memory(r.values, matrix[k])
         with pytest.raises(ValueError):
             r.values[0] = 0.5
@@ -325,7 +325,7 @@ def test_in_mean_over_batched_chains_matches_scalar_integrals_bit_for_bit(monkey
             assert [v.hex() for v in got] == [v.hex() for v in want], (block, horizon, s.kind)
 
 
-def test_the_first_in_mean_check_builds_every_chain_in_one_kernel_call_per_block(monkeypatch):
+def test_construction_builds_every_chain_in_one_kernel_call_per_block_and_the_checks_none(monkeypatch):
     monkeypatch.setattr(conv, "_CHAIN_BLOCK_ROWS", 4)
     blocks = []
     kernel = conv._level_chains
@@ -336,16 +336,16 @@ def test_the_first_in_mean_check_builds_every_chain_in_one_kernel_call_per_block
     space = FiniteSpace(5)
     caps = (random_capacity(space, rng), random_capacity(space, rng))
     seq = special_seq(space, 10, rng)
+    assert blocks == [4, 4, 2]
+    assert all(r._chain is not None for r in seq._residuals)
     check_strict(caps[0], seq)
     check_in_capacity(caps[0], seq)
-    assert blocks == []
     for c in caps:
         for s in IN_MEAN_KINDS:
             check_in_mean(s, c, seq)
     theorem2_audit(MIN, caps[1], seq)
     assert blocks == [4, 4, 2]
     assert one_row == []  # integrate found every chain built
-    assert all(r._chain is not None for r in conv._residuals(seq))
 
 
 # ---------------------------------------------------------------------------
@@ -721,19 +721,18 @@ def test_check_in_capacity_peak_memory_is_bounded_by_one_block():
     assert peak < 6 * 2**20  # one gather over every row peaked at 9.3 MiB
 
 
-def test_the_first_in_mean_check_peak_memory_is_its_chains_plus_one_block():
+def test_construction_peak_memory_is_what_the_sequence_keeps_plus_one_chain_block():
     rng = np.random.default_rng(53)
     space = FiniteSpace(16)
-    c = random_capacity(space, rng)
     rows = rng.random((4001, space.size))
-    seq = FnSequence(space, tuple(MeasurableFn(space, row) for row in rows[1:]), MeasurableFn(space, rows[0]))
-    check_strict(c, seq)  # the residuals and their matrix, kept by the sequence, are not the check's memory
+    terms, limit = tuple(MeasurableFn(space, row) for row in rows[1:]), MeasurableFn(space, rows[0])
     tracemalloc.start()
     try:
-        check_in_mean(MIN, c, seq)
+        seq = FnSequence(space, terms, limit)
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the 4000 chains the sequence keeps take about 1.8 MiB and a block of 1024 rows about 0.5 more;
-    # blocks of 2048 rows peaked at 2.8 MiB and one block of every row at 3.9
-    assert kept > 1.5 * 2**20 and peak < 2.6 * 2**20
+    assert seq.horizon == 4000
+    # the sequence keeps about 3.0 MiB: 4000 residuals, each with its chain and a view of its row, and the
+    # 0.5 MiB matrix; blocks of 1024 rows peaked at 3.5 MiB, of 2048 at 3.9 and one block of every row at 5.1
+    assert kept > 2.5 * 2**20 and peak < 3.8 * 2**20

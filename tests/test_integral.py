@@ -17,6 +17,7 @@ from semint import (
     Capacity,
     DomainError,
     FiniteSpace,
+    FnSequence,
     MeasurableFn,
     Semicopula,
     SpaceMismatchError,
@@ -445,8 +446,14 @@ def test_level_chains_keep_each_row_in_its_place():
 
 
 def fresh(f: MeasurableFn) -> MeasurableFn:
-    """A new function with f's values, which keeps no chain yet."""
+    """A new function with f's values, which keeps no chain."""
     return MeasurableFn(f.space, f.values)
+
+
+def kept(f: MeasurableFn) -> MeasurableFn:
+    """The residual |f - 0| of a one-term sequence, which keeps the chain its sequence built (f's values,
+    save that a -0.0 in f reads 0.0 in it)."""
+    return FnSequence(f.space, (f,), MeasurableFn.constant(f.space, 0.0))._residuals[0]
 
 
 def assert_matches_reference(s, c, f):
@@ -459,16 +466,20 @@ def assert_matches_reference(s, c, f):
         assert result.candidates_inspected == candidates
 
 
-def test_the_chain_is_built_once_and_kept_as_arrays(monkeypatch):
+def test_integrate_builds_a_one_row_chain_per_call_and_keeps_none(monkeypatch):
     built = []
     level_chains = integral._level_chains
     monkeypatch.setattr(integral, "_level_chains", lambda rows: built.append(rows.tolist()) or level_chains(rows))
     f = MeasurableFn(SPACE4, [0.5, 0.25, 0.5, 1.0])
-    assert f._chain is None
     for s in CHAIN_KINDS:
         integrate(s, UNIFORM4, f)
-    assert built == [[[0.5, 0.25, 0.5, 1.0]]]  # one one-row call
-    levels, masks = f._chain
+    assert built == [[[0.5, 0.25, 0.5, 1.0]]] * len(CHAIN_KINDS)  # one one-row call per integral
+    assert f._chain is None
+
+
+def test_a_residual_keeps_its_chain_as_arrays():
+    r = kept(MeasurableFn(SPACE4, [0.5, 0.25, 0.5, 1.0]))
+    levels, masks = r._chain
     assert (levels.typecode, masks.typecode) == ("d", "q")
     assert (levels.tolist(), masks.tolist()) == ([0.25, 0.5, 1.0], [0b1111, 0b1101, 0b1000])
 
@@ -478,7 +489,7 @@ def test_a_kept_chain_matches_the_one_pass_under_every_order_of_semicopulas():
     c = rng_capacity(32, 6)
     for row in chain_rows(6, 6, rng):
         for kinds in itertools.permutations(CHAIN_KINDS):
-            f = MeasurableFn(c.space, row)
+            f = kept(MeasurableFn(c.space, row))
             for s in kinds:
                 assert_matches_reference(s, c, f)
 
@@ -487,7 +498,7 @@ def test_a_kept_chain_serves_every_capacity_on_its_space():
     rng = np.random.default_rng(33)
     caps = (rng_capacity(34, 8), Capacity.from_possibility(FiniteSpace(8), [1.0] + [0.5] * 7))
     for row in chain_rows(8, 30, rng):
-        f = MeasurableFn(caps[0].space, row)
+        f = kept(MeasurableFn(caps[0].space, row))
         for c in caps + caps[::-1]:
             for s in CHAIN_KINDS:
                 assert_matches_reference(s, c, f)
@@ -504,36 +515,41 @@ def test_a_kept_chain_serves_every_capacity_on_its_space():
         [5e-324, -0.0, 5e-324, 0.0],
     ],
 )
-def test_a_kept_chain_keeps_ties_and_the_sign_of_zero(values):
+def test_a_chain_keeps_ties_and_the_sign_of_zero(values):
     c = Capacity.from_additive(SPACE4, [0.4, 0.3, 0.2, 0.1])
     f = MeasurableFn(SPACE4, values)
-    for s in CHAIN_KINDS + CHAIN_KINDS[::-1]:
-        assert_matches_reference(s, c, f)
-    zero = f._chain[0][0]
+    for g in (f, kept(f)):
+        for s in CHAIN_KINDS + CHAIN_KINDS[::-1]:
+            assert_matches_reference(s, c, g)
+    zero = integral._level_chains(f.values[None])[0][0][0]
     if zero == 0.0:  # the run of zeros carries the sign of its first entry in index order
         assert same_bytes(zero, next(v for v in values if v == 0.0))
 
 
-def test_a_residual_keeps_its_chain_like_any_function():
+def test_a_sequence_residual_keeps_its_chain_and_a_standalone_one_keeps_none():
     rng = np.random.default_rng(35)
     c = rng_capacity(36, 5)
     for _ in range(20):
         a, b = (MeasurableFn(c.space, row) for row in chain_rows(5, 2, rng))
         r = residual(a, b)
-        assert r._chain is None
+        kept_r = FnSequence(c.space, (a,), b)._residuals[0]
+        assert r._chain is None and kept_r._chain is not None
+        assert kept_r.values.tobytes() == r.values.tobytes()
+        assert chain_bytes(kept_r._chain) == chain_bytes(integral._level_chains(r.values[None])[0])
         for s in CHAIN_KINDS + CHAIN_KINDS[::-1]:
             assert_matches_reference(s, c, r)
-        assert r._chain is not None
+            assert_matches_reference(s, c, kept_r)
+        assert r._chain is None
 
 
 def test_repr_and_replace_never_carry_a_chain():
     f = MeasurableFn(SPACE4, [0.25, 0.5, 0.75, 1.0])
-    before = repr(f)
-    integrate(MIN, UNIFORM4, f)
-    assert f._chain is not None
-    assert repr(f) == before and "_chain" not in before
-    assert dataclasses.replace(f)._chain is None
-    g = dataclasses.replace(f, values=[1.0, 0.75, 0.5, 0.25])
+    r = kept(f)
+    assert r._chain is not None
+    assert repr(r) == repr(f) and "_chain" not in repr(r)
+    assert dataclasses.replace(r)._chain is None
+    g = dataclasses.replace(r, values=[1.0, 0.75, 0.5, 0.25])
     assert g._chain is None
     assert integrate(MIN, UNIFORM4, g) == integrate(MIN, UNIFORM4, fresh(g))
-    assert g._chain[1].tolist() == [0b1111, 0b0111, 0b0011, 0b0001]
+    assert g._chain is None
+    assert kept(g)._chain[1].tolist() == [0b1111, 0b0111, 0b0011, 0b0001]

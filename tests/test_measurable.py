@@ -126,7 +126,7 @@ def test_strict_support_is_smallest_positive_level_set(values):
         assert strict_support(f) == 0
 
 
-def test_level_mask_blocks_match_the_whole_cube(monkeypatch):
+def test_level_masks_match_the_whole_cube():
     n, grid = 5, np.logspace(-2.0, 0.0, 37)
     rng = np.random.default_rng(5)
     residuals = rng.random((23, n))
@@ -137,13 +137,10 @@ def test_level_mask_blocks_match_the_whole_cube(monkeypatch):
     row, t = residuals[1], np.linspace(0.0, 1.0, 1001)
     cube = (residuals[:, None, :] >= grid[None, :, None]).astype(np.int64) @ powers
     profile = (row[None, :] >= t[:, None]).astype(np.int64) @ powers
-    # 1 and 64 cells split one row's thresholds, 1 << 10 splits the rows, 1 << 20 takes all at once
-    for block in (1, 64, 1 << 10, 1 << 20):
-        monkeypatch.setattr(measurable, "_LEVEL_BLOCK_CELLS", block)
-        pairs = ((measurable._level_masks(residuals, grid), cube), (measurable._level_masks(row, t), profile))
-        for got, whole in pairs:
-            assert got.dtype == np.int64 and got.shape == whole.shape
-            assert got.tobytes() == whole.tobytes()
+    pairs = ((measurable._level_masks(residuals, grid), cube), (measurable._level_masks(row, t), profile))
+    for got, whole in pairs:
+        assert got.dtype == np.int64 and got.shape == whole.shape
+        assert got.tobytes() == whole.tobytes()
 
 
 def comparison_cube(values, thresholds) -> np.ndarray:
@@ -163,20 +160,17 @@ edge_or_unit = st.one_of(st.sampled_from(EDGE_VALUES), st.floats(0.0, 1.0))
     n=st.integers(1, 24),
     rows=st.integers(1, 40),
     data=st.data(),
-    block=st.sampled_from([1, 7, 64, 1 << 10, 1 << 20]),
 )
 @settings(max_examples=150, deadline=None)
-def test_level_masks_match_the_comparison_cube(n, rows, data, block):
+def test_level_masks_match_the_comparison_cube(n, rows, data):
     values = np.array(data.draw(st.lists(edge_or_unit, min_size=rows * n, max_size=rows * n))).reshape(rows, n)
     # unsorted thresholds with duplicates, some of them equal to values
     pool = st.one_of(edge_or_unit, st.sampled_from(values.ravel().tolist()))
     thresholds = np.array(data.draw(st.lists(pool, min_size=1, max_size=60)))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(measurable, "_LEVEL_BLOCK_CELLS", block)
-        for v in (values, values[0]):
-            got, want = measurable._level_masks(v, thresholds), comparison_cube(v, thresholds)
-            assert got.dtype == np.int64 and got.shape == want.shape
-            assert got.tobytes() == want.tobytes()
+    for v in (values, values[0]):
+        got, want = measurable._level_masks(v, thresholds), comparison_cube(v, thresholds)
+        assert got.dtype == np.int64 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 def test_level_masks_reach_the_full_24_point_mask_exactly():

@@ -95,6 +95,10 @@ def test_scalar_and_array_paths_agree():
         for i in range(axis.size):
             for j in range(axis.size):
                 assert s.evaluate(float(axis[i]), float(axis[j])) == arr[i, j]
+                # numpy scalars that are not floats take the array path, and come back as scalars too
+                a, b = np.float32(axis[i]), np.float32(axis[j])
+                got = s.evaluate(a, b)
+                assert not isinstance(got, np.ndarray) and got == s.evaluate(float(a), float(b)), (s.kind, a, b)
 
 
 def inline_scalar(kind: str, a: float, b: float) -> float:
