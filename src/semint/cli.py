@@ -2,7 +2,8 @@
 
 Exit codes: 0 for success or a passing verdict, 1 for a failing verdict,
 2 for input errors (malformed JSON, schema problems, violated input
-invariants, bad flags).  Reports go to stdout; exit-2 error objects
+invariants, bad flags) and for sizes too large to allocate (code
+``memory``).  Reports go to stdout; exit-2 error objects
 {"code", "message", "location"} go to stderr.  Numbers are serialized with
 17 significant digits so reports round-trip losslessly and identical inputs
 produce byte-identical bytes.
@@ -643,6 +644,9 @@ def run(argv: Sequence[str] | None = None) -> int:
         return 2
     except OSError as e:
         _print_error("io", str(e), getattr(e, "filename", None) or "")
+        return 2
+    except MemoryError as e:  # numpy refuses an allocation, say for a huge --grid-points or --resolution
+        _print_error("memory", str(e) or "out of memory")
         return 2
 
 

@@ -20,9 +20,13 @@ level set of that value.  The sort makes that O(n log n).  One kernel,
 stable ``argsort`` and one ``np.bitwise_or.accumulate``.  The chain depends
 on f alone, not on S or mu, so a ``FnSequence`` builds its residuals' chains
 (O(n) memory each) once, at construction, and every integral of a residual,
-under any semicopula or capacity, is one O(n) scan of the candidates.  Any
-other function gets its chain from a one-row call per integral.  Ties
-between candidates go to the smallest attaining threshold.
+under any semicopula or capacity, is one walk down the chain.  Any other
+function gets its chain from a one-row call per integral.  The walk starts at
+the top level, and for the builtins it stops at the first level below the
+best value so far: every semicopula has ``S(t, m) <= S(t, 1) = t``, and the
+builtins keep that bound exactly in floating point, so no lower threshold
+can reach the best.  Ties between candidates go to the smallest attaining
+threshold.
 ``integrate_grid_oracle`` is the direct transcription of the supremum onto a
 dense threshold grid, kept solely to cross-check the exact value; it can only
 undershoot.
@@ -46,7 +50,9 @@ class IntegralResult:
     """Integral value plus the threshold attaining it.
 
     Ties are broken toward the smallest attaining threshold, so results are
-    deterministic and safe to freeze in golden tests.
+    deterministic and safe to freeze in golden tests.  ``candidates_inspected``
+    counts the distinct values of f, the candidates the supremum ranges over,
+    not the formula calls an early exit saves.
     """
 
     value: float
@@ -63,18 +69,20 @@ class IntegralResult:
 
 
 def _level_chains(rows: np.ndarray) -> list[tuple[array, array]]:
-    """Per row of ``rows``, the level sets of every candidate: each tie run's value and ``{f >= value}``, ascending.
+    """Per row of ``rows``, the level sets of every candidate: each tie run's value and ``{f >= value}``, descending.
 
     One stable descending sort of each row (``argsort`` of the negated rows
     with ``kind="stable"``, so tied points keep their index order), one
     gather of the sorted values, one ``np.bitwise_or.accumulate`` of the
     points' bits along that order, and one mask marking where each tie run
     ends: the accumulated mask at a run's end is the level set of its value.
-    A tie run's value is its first entry in index order, so ``-0.0`` and
-    ``0.0`` resolve as a set of the values would, and ``5e-324`` stays above
-    both.  Each row gets its levels as ``array("d")`` and its masks as
-    ``array("q")``: 472 bytes with the pair that holds them for 16 distinct
-    values, where a tuple of (value, mask) pairs takes about 1.5 KiB.
+    The chain keeps the sort's order, highest level first, the order in which
+    ``integrate`` walks it.  A tie run's value is its first entry in index
+    order, so ``-0.0`` and ``0.0`` resolve as a set of the values would, and
+    ``5e-324`` stays above both.  Each row gets its levels as ``array("d")``
+    and its masks as ``array("q")``: 472 bytes with the pair that holds them
+    for 16 distinct values, where a tuple of (value, mask) pairs takes about
+    1.5 KiB.
 
     Temporaries are a few int64 and float64 copies of ``rows``, so callers
     bound memory by passing a block of rows at a time.  A one-row call costs
@@ -91,10 +99,10 @@ def _level_chains(rows: np.ndarray) -> list[tuple[array, array]]:
     np.not_equal(ranked[:, :-1], ranked[:, 1:], out=ends[:, :-1])
     starts = np.ones((m, n), dtype=bool)
     starts[:, 1:] = ends[:, :-1]
-    # reversed columns give each row's runs in ascending order, rows still in order; slicing one array per block
-    # gives each row arrays of its exact size, where array("d", bytes) would over-allocate
-    levels = array("d", ranked[:, ::-1][starts[:, ::-1]].tobytes())
-    kept = array("q", masks[:, ::-1][ends[:, ::-1]].tobytes())
+    # boolean indexing walks row-major: each row's runs in descending order, rows in order; slicing one array
+    # per block gives each row arrays of its exact size, where array("d", bytes) would over-allocate
+    levels = array("d", ranked[starts].tobytes())
+    kept = array("q", masks[ends].tobytes())
     chains = []
     a = 0
     for runs in ends.sum(axis=1).tolist():
@@ -104,27 +112,38 @@ def _level_chains(rows: np.ndarray) -> list[tuple[array, array]]:
 
 
 def integrate(s: Semicopula, c: Capacity, f: MeasurableFn) -> IntegralResult:
-    """Exact integral by a candidate scan along the level chain of f.
+    """Exact integral by a walk down the level chain of f.
 
     The chain (``_level_chains``) depends on f alone.  A sequence's residual
     keeps the one its sequence built; any other function gets it from a
     one-row ``_level_chains`` call, and ``f`` is never written to.
-    Candidates are evaluated in ascending order with a strict ``>``, which
-    keeps the smallest attaining threshold.  All comparisons are exact and
-    candidates are evaluated at the stored double values, so no tolerance is
-    involved.  Both lie in [0,1], checked when ``f`` and ``c`` were built: a
-    builtin's formula is called directly on the two floats, and a table's
-    ``evaluate``.
+    Candidates are evaluated in descending order and replace the best on
+    ``>=``, so the last replacement is the smallest attaining threshold, as
+    the first strict maximum of an ascending scan is, with the same value and
+    sign of zero.  For a builtin the walk stops at the first level ``v`` below
+    the best: ``S(v, m) <= v`` holds exactly for each (see
+    ``_SCALAR_FORMULAS``), so neither ``v`` nor any lower level can reach the
+    best.  A table semicopula keeps the bound only within ``AXIOM_TOL`` at
+    its lattice nodes, or not at all if unvalidated, so it walks every level.
+    All comparisons are exact and candidates are evaluated at the stored
+    double values, so no tolerance is involved.  Both lie in [0,1], checked
+    when ``f`` and ``c`` were built: a builtin's formula is called directly on
+    the two floats, and a table's ``evaluate``.
     """
     _require_same_space(c, f)
     levels, masks = f._chain or _level_chains(f.values[None])[0]
     item = c.table.item
-    formula = _SCALAR_FORMULAS.get(s.kind, s.evaluate)
+    formula = _SCALAR_FORMULAS.get(s.kind)
+    prune = formula is not None  # a builtin: S(v, m) <= v exactly, see _SCALAR_FORMULAS
+    if formula is None:
+        formula = s.evaluate
     best = -1.0
     best_t = 0.0
     for v, level in zip(levels, masks):
+        if prune and v < best:
+            break
         val = formula(v, item(level))
-        if val > best:
+        if val >= best:
             best = val
             best_t = v
     return IntegralResult(float(best), float(best_t), len(levels))

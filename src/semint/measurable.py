@@ -11,7 +11,8 @@ sets of exactly the thresholds ranked at or below its value, and a
 Out-of-range values are rejected at construction rather than clamped.
 
 A sequence's residual keeps its level chain, the O(n) levels and masks
-``integral._level_chains`` builds for the candidate scan: the chain depends
+``integral._level_chains`` builds, highest level first, for the walk
+``integrate`` makes from the top: the chain depends
 on the function alone, so ``FnSequence`` builds every residual's chain once,
 at construction, in one batched call per block of rows, and every integral
 of the residual, under any semicopula or capacity, reads it.  Any other
@@ -38,8 +39,8 @@ class MeasurableFn:
 
     space: FiniteSpace
     values: np.ndarray
-    # a residual's level chain, (levels, masks) as array("d") and array("q"), which its FnSequence builds
-    # with integral._level_chains and every integral of it reads; None for any other function
+    # a residual's level chain, (levels, masks) as array("d") and array("q") with the highest level first, which
+    # its FnSequence builds with integral._level_chains and every integral of it reads; None for any other function
     _chain: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:

@@ -51,7 +51,15 @@ def _lukasiewicz(a: float, b: float) -> float:
     return s if s > 0.0 else 0.0
 
 
-# each builtin's formula on two Python floats already checked to lie in [0,1]
+# each builtin's formula on two Python floats already checked to lie in [0,1].  Each satisfies
+# S(a, b) <= min(a, b) exactly in floating point (the same operations in the same order as
+# _evaluate_array, so that form does too), which lets integrate stop its walk at the first level below the best:
+# - min: by definition;
+# - product, prodmax: rounding is monotone and a*b <= a when b <= 1, so fl(a*b) <= fl(a) = a (and <= b);
+#   prodmax then multiplies that by a factor of at most 1;
+# - lukasiewicz: the guards return a or b; otherwise b <= 1 - 2**-53, so a + b <= a + 1 - 2**-53 and, with
+#   rounding error at most 2**-53 below 2, fl(a+b) <= a + 1; if fl(a+b) >= 1, subtracting 1 is exact
+#   (Sterbenz), giving at most a, else the result clamps to 0.  The same holds with a and b swapped.
 _SCALAR_FORMULAS: dict[str, Callable[[float, float], float]] = {
     "min": _min,
     "product": _product,

@@ -109,6 +109,31 @@ def test_oracle_rejects_tiny_grid(tmp_path):
     assert error_of(proc)["code"] == "domain"
 
 
+def memory_error_of(capsys) -> dict:
+    """The stderr error object of a run that exited 2 for a refused allocation, with nothing on stdout."""
+    out, err = capsys.readouterr()
+    assert out == ""
+    doc = json.loads(err)  # one JSON object, no traceback
+    assert set(doc) == {"code", "message", "location"} and doc["code"] == "memory"
+    return doc
+
+
+def test_an_oracle_grid_too_large_to_allocate_exits_two(tmp_path, capsys):
+    # 10**15 float64 grid points take 7.1 PiB, far more than a process can map, so numpy's allocation is
+    # refused before any memory is touched
+    assert cli.run(["oracle", write(tmp_path, "i.json", INSTANCE), "--grid-points", str(10**15)]) == 2
+    assert "Unable to allocate" in memory_error_of(capsys)["message"]
+
+
+def test_a_semicopula_check_out_of_memory_exits_two(tmp_path, capsys, monkeypatch):
+    def refuse(s, resolution):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "validate_semicopula", refuse)
+    assert cli.run(["check-semicopula", write(tmp_path, "s.json", {"kind": "min"}), "--resolution", "100"]) == 2
+    assert memory_error_of(capsys) == {"code": "memory", "message": "out of memory", "location": ""}
+
+
 # ---------------------------------------------------------------------------
 # validators
 

@@ -28,6 +28,7 @@ from semint import (
     shilkret,
     sugeno,
     survival,
+    validate_semicopula,
 )
 from semint import integral
 from semint.integral import _grid_profile
@@ -367,6 +368,53 @@ def test_zero_sign_of_the_argmax_is_the_first_in_index_order():
 
 
 # ---------------------------------------------------------------------------
+# the top-down walk: a builtin stops at the first level below the best, a table walks every level
+
+
+def counted(calls: list, formula):
+    """``formula`` recording the threshold of every call; a method's arguments are (self, a, b)."""
+
+    def wrapper(*args):
+        calls.append(args[-2])
+        return formula(*args)
+
+    return wrapper
+
+
+def test_a_builtin_stops_below_the_best_and_a_table_evaluates_every_level(monkeypatch):
+    c = Capacity.from_possibility(SPACE4, [1.0, 0.5, 0.5, 0.5])
+    r = kept(MeasurableFn(SPACE4, [0.9, 0.2, 0.1, 0.3]))  # the top level already scores 0.9
+    calls = []
+    for s in BUILTINS:
+        monkeypatch.setitem(integral._SCALAR_FORMULAS, s.kind, counted(calls, integral._SCALAR_FORMULAS[s.kind]))
+        result = integrate(s, c, r)
+        assert (result.value, result.argmax_threshold, result.candidates_inspected) == (0.9, 0.9, 4), s.kind
+        assert calls == [0.9], s.kind  # 0.3 < 0.9, and S(v, m) <= v below it
+        calls.clear()
+    table = CHAIN_KINDS[-1]
+    monkeypatch.setattr(Semicopula, "evaluate", counted(calls, Semicopula.evaluate))
+    assert integrate(table, c, r).candidates_inspected == 4
+    assert calls == [0.9, 0.3, 0.2, 0.1]  # one call per level, from the top
+
+
+def test_a_table_above_the_min_bound_still_gets_the_full_walk():
+    # 0.9 * max(a, b) breaks S <= min wherever b > a, so a level below the best can still win
+    s = Semicopula.from_function(lambda a, b: 0.9 * max(a, b), 20)
+    assert "min-bound" in {v.axiom for v in validate_semicopula(s, 20).violations}
+    f = MeasurableFn(SPACE4, [0.9, 0.1, 0.1, 0.1])
+    result = integrate(s, UNIFORM4, f)
+    assert (result.value, result.argmax_threshold) == (s.evaluate(0.1, 1.0), 0.1)
+    assert 0.1 < s.evaluate(0.9, 0.25) < result.value  # the level 0.1 lies below the top level's score
+    assert_matches_reference(s, UNIFORM4, f)
+    rng = np.random.default_rng(37)
+    c = rng_capacity(38, 6)
+    for row in chain_rows(6, 40, rng):
+        f = MeasurableFn(c.space, row)
+        for g in (f, kept(f)):
+            assert_matches_reference(s, c, g)
+
+
+# ---------------------------------------------------------------------------
 # the level chain a function keeps from its first integral
 
 
@@ -411,8 +459,6 @@ def ref_level_chain(values: list[float]) -> tuple[array, array]:
         mask |= 1 << i
     levels.append(run)
     masks.append(mask)
-    levels.reverse()
-    masks.reverse()
     return array("d", levels), array("q", masks)
 
 
@@ -440,9 +486,9 @@ def test_level_chains_match_the_per_row_pass_bit_for_bit(n):
 def test_level_chains_keep_each_row_in_its_place():
     rows = np.array([[0.5, 0.25, 0.5, 1.0], [0.0, -0.0, 0.0, 0.0], [-0.0, 5e-324, 0.0, 1.0]])
     levels, masks = zip(*integral._level_chains(rows))
-    assert [x.tolist() for x in levels] == [[0.25, 0.5, 1.0], [0.0], [0.0, 5e-324, 1.0]]
-    assert [x.tolist() for x in masks] == [[0b1111, 0b1101, 0b1000], [0b1111], [0b1111, 0b1010, 0b1000]]
-    assert [v.hex() for v in (levels[1][0], levels[2][0])] == [(0.0).hex(), (-0.0).hex()]
+    assert [x.tolist() for x in levels] == [[1.0, 0.5, 0.25], [0.0], [1.0, 5e-324, 0.0]]
+    assert [x.tolist() for x in masks] == [[0b1000, 0b1101, 0b1111], [0b1111], [0b1000, 0b1010, 0b1111]]
+    assert [v.hex() for v in (levels[1][-1], levels[2][-1])] == [(0.0).hex(), (-0.0).hex()]
 
 
 def fresh(f: MeasurableFn) -> MeasurableFn:
@@ -481,7 +527,7 @@ def test_a_residual_keeps_its_chain_as_arrays():
     r = kept(MeasurableFn(SPACE4, [0.5, 0.25, 0.5, 1.0]))
     levels, masks = r._chain
     assert (levels.typecode, masks.typecode) == ("d", "q")
-    assert (levels.tolist(), masks.tolist()) == ([0.25, 0.5, 1.0], [0b1111, 0b1101, 0b1000])
+    assert (levels.tolist(), masks.tolist()) == ([1.0, 0.5, 0.25], [0b1000, 0b1101, 0b1111])
 
 
 def test_a_kept_chain_matches_the_one_pass_under_every_order_of_semicopulas():
@@ -521,7 +567,7 @@ def test_a_chain_keeps_ties_and_the_sign_of_zero(values):
     for g in (f, kept(f)):
         for s in CHAIN_KINDS + CHAIN_KINDS[::-1]:
             assert_matches_reference(s, c, g)
-    zero = integral._level_chains(f.values[None])[0][0][0]
+    zero = integral._level_chains(f.values[None])[0][0][-1]  # the lowest level
     if zero == 0.0:  # the run of zeros carries the sign of its first entry in index order
         assert same_bytes(zero, next(v for v in values if v == 0.0))
 
@@ -552,4 +598,4 @@ def test_repr_and_replace_never_carry_a_chain():
     assert g._chain is None
     assert integrate(MIN, UNIFORM4, g) == integrate(MIN, UNIFORM4, fresh(g))
     assert g._chain is None
-    assert kept(g)._chain[1].tolist() == [0b1111, 0b0111, 0b0011, 0b0001]
+    assert kept(g)._chain[1].tolist() == [0b0001, 0b0011, 0b0111, 0b1111]

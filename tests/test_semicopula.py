@@ -132,6 +132,28 @@ def test_scalar_formulas_return_the_inline_branch_bit_for_bit():
     assert set(_SCALAR_FORMULAS) == set(BUILTIN_KINDS)
 
 
+BOUND_SPECIALS = (0.0, -0.0, 5e-324, 2.0**-53, 0.5, math.nextafter(0.5, 0.0), 1.0 - 2.0**-53, 1.0)
+
+
+def test_every_builtin_is_at_most_min_exactly_in_floating_point():
+    # integrate's early exit rests on S(a, b) <= min(a, b) holding with no tolerance
+    rng = np.random.default_rng(17)
+    x = rng.random(100_000)
+    y = rng.random(100_000)
+    y[::2] = 1.0 - rng.random(50_000) * 1e-6  # half of the pairs within 1e-6 of the neutral element
+    specials = np.array(BOUND_SPECIALS)
+    pa, pb = np.meshgrid(specials, specials, indexing="ij")
+    a = np.concatenate((pa.ravel(), x, y))  # every random pair in both orders
+    b = np.concatenate((pb.ravel(), y, x))
+    bound = np.minimum(a, b)
+    for s in BUILTINS:
+        formula = _SCALAR_FORMULAS[s.kind]
+        scalar = np.array([formula(p, q) for p, q in zip(a.tolist(), b.tolist())])
+        for got in (scalar, s._evaluate_array(a, b)):
+            bad = np.flatnonzero(~(got <= bound))
+            assert bad.size == 0, (s.kind, a[bad[:3]].tolist(), b[bad[:3]].tolist())
+
+
 def test_callable_alias():
     assert PRODUCT(0.5, 0.5) == PRODUCT.evaluate(0.5, 0.5)
 
