@@ -27,12 +27,28 @@ equivalent to checking every subset pair, at O(n * 2**n) instead of O(4**n)
 cost.  Comparisons are exact; every constructor below is arranged so that its
 floating-point output is monotone without tolerance.
 
+The two full-table scans run on two threads, through ``_in_halves``.  The
+random builder's envelope splits the table by its top point: passes
+``0 .. n-2`` pair masks within one half, so each thread takes every one of
+them on its own half, and the top pass, which pairs the halves, is then
+split along its offsets.  ``validate_table`` splits each pass's comparison
+(and the range check) into the two halves of one bool array, and one
+``flatnonzero`` over the whole array reads the faults in mask order.  Every
+pass is elementwise over disjoint slices and the passes keep their order on
+each entry, so tables and violation lists are bit for bit the serial ones.
+numpy's ufuncs release the GIL, so the halves run at once.  The split is
+skipped below ``_SPLIT_ENTRIES`` entries per view (n < 20 for a comparison
+pass) and when the process may use one CPU only, which ``_TWO_CPUS`` reads
+once at import.  The prefix doubling and ``_interp_monotone`` stay serial.
+
 All capacity objects are immutable after construction and safe to share
 across threads.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -56,6 +72,79 @@ _WEIGHT_SUM_TOL = 1e-9
 
 # entries per chunk in _interp_monotone: each of its temporaries is 128 KiB, whatever the table size
 _INTERP_CHUNK = 1 << 14
+
+# entries per view below which _in_halves runs serially.  Starting and joining a thread costs about 0.2 ms;
+# one lo > hi pass over 2**19-entry views took 0.47 ms serial and 0.49 ms split, over 2**20 0.91 and 0.74 ms.
+# validate_table / random_capacity at n = 19 took 8.4 / 19.1 ms serial and 9.4 / 20.0 ms split at this size,
+# at n = 21 66 / 123 and 36 / 80 ms (numpy 2.4, 2 vCPUs, medians of 15)
+_SPLIT_ENTRIES = 1 << 19
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the platform has one, else every CPU."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+# whether a second thread can run on a CPU of its own; read once, at import
+_TWO_CPUS = _usable_cpus() > 1
+
+
+def _in_halves(fn, *views: np.ndarray) -> None:
+    """Run ``fn`` on the two halves of equally shaped ``views``: the first halves on a new thread, the second here.
+
+    Each view is split at the middle of its first axis.  ``fn`` must write
+    only through its arguments and act entry by entry or block by block
+    along that axis, so that the two calls touch disjoint memory and do
+    together exactly what one call on the whole views does.  The numpy
+    ufuncs ``fn`` runs release the GIL, so the halves run at once on two
+    CPUs.  The thread is joined before this returns, whatever either half
+    raised, and an exception from the thread's half is raised again here.
+    ``fn`` should allocate no large temporary: one made on the thread comes
+    from that thread's malloc arena, and the range check's temporary there
+    cost about 4 MiB more peak RSS per ``big-tables`` run at n = 22, so the
+    caller passes scratch views instead.
+
+    With fewer than ``_SPLIT_ENTRIES`` entries per view, or one usable CPU
+    (``_TWO_CPUS``), it is one call ``fn(*views)`` on this thread.
+    """
+    if views[0].size < _SPLIT_ENTRIES or not _TWO_CPUS:
+        fn(*views)
+        return
+    mid = views[0].shape[0] // 2
+    raised = []
+
+    def first_halves() -> None:
+        try:
+            fn(*(v[:mid] for v in views))
+        except BaseException as e:  # handed to the calling thread, which raises it after the join
+            raised.append(e)
+
+    thread = threading.Thread(target=first_halves)
+    thread.start()
+    try:
+        fn(*(v[mid:] for v in views))
+    finally:
+        thread.join()
+    if raised:
+        raise raised[0]
+
+
+def _bool_map(fn, *views: np.ndarray) -> np.ndarray:
+    """A C-ordered bool array shaped like the views, written as ``fn(*views, out)`` through ``_in_halves``."""
+    out = np.empty(views[0].shape, dtype=bool)
+    _in_halves(fn, *views, out)
+    return out
+
+
+def _outside_unit(values: np.ndarray, scratch: np.ndarray, out: np.ndarray) -> None:
+    """Write into ``out`` where ``values`` lies outside [0,1], NaN included; ``scratch`` is a bool array like ``out``."""
+    np.greater_equal(values, 0.0, out=out)
+    np.less_equal(values, 1.0, out=scratch)
+    out &= scratch
+    np.logical_not(out, out=out)
 
 
 @dataclass(frozen=True, slots=True)
@@ -135,12 +224,15 @@ def _faults(table: np.ndarray, points: int):
     mu(X) != 1, then for each point ``i`` (the ``element``) the masks ``A``
     without ``i`` where mu(A) > mu(A + {i}), in increasing order.
     """
-    yield "domain", np.flatnonzero(~((table >= 0.0) & (table <= 1.0))), None
+    yield "domain", np.flatnonzero(_bool_map(_outside_unit, table, np.empty(table.shape, dtype=bool))), None
     boundary = [mask for mask, want in ((0, 0.0), (table.size - 1, 1.0)) if table[mask] != want]
     yield "not-normalized", np.array(boundary, dtype=np.int64), None
     for i, lo, hi, order in _lattice_pairs(table, points):
-        # a C-ordered result, whatever the iteration order, so that flatnonzero need not copy it
-        drops = np.greater(lo, hi, out=np.empty(lo.shape, dtype=bool), order=order)
+        if lo.shape[0] == 1:  # the top point pairs the table's two halves: one block, split along its offsets
+            lo, hi = lo[0], hi[0]
+        # a C-ordered result, whatever the iteration order, so that flatnonzero need not copy it; its
+        # halves are written at once, and one flatnonzero over the whole reads them in mask order
+        drops = _bool_map(lambda lo, hi, out: np.greater(lo, hi, out=out, order=order), lo, hi)
         k = np.flatnonzero(drops)  # k = block * 2**i + offset; its mask is block * 2**(i+1) + offset
         yield "not-monotone", k + (k >> i << i), i
 
@@ -377,6 +469,16 @@ def _interp_monotone(samples: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _envelope(table: np.ndarray, points: int) -> None:
+    """Raise each entry of ``table`` to the max over the subsets of its mask that differ below ``points``, in place.
+
+    One lattice pass per point below ``points``; with every point, that is the
+    max over all its subsets, the monotone envelope.
+    """
+    for _, lo, hi, order in _lattice_pairs(table, points):
+        np.maximum(hi, lo, out=hi, order=order)
+
+
 def random_capacity(space: FiniteSpace, rng: np.random.Generator) -> Capacity:
     """Draw a random capacity: i.i.d. uniforms per subset, monotone envelope, fixed boundaries.
 
@@ -384,8 +486,11 @@ def random_capacity(space: FiniteSpace, rng: np.random.Generator) -> Capacity:
     subsets, so no rejection sampling is needed.
     """
     table = rng.random(space.num_subsets)
-    for _, lo, hi, order in _lattice_pairs(table, space.size):
-        np.maximum(hi, lo, out=hi, order=order)
+    # passes 0..n-2 pair masks within one half of the table, the masks without and with the top point, so
+    # each half takes all of them on a thread of its own; the top pass pairs the halves, split along offsets
+    _in_halves(lambda half: _envelope(half, space.size - 1), table)
+    lo, hi = table.reshape(2, -1)
+    _in_halves(lambda hi, lo: np.maximum(hi, lo, out=hi), hi, lo)
     table[0] = 0.0
     table[-1] = 1.0
     table.setflags(write=False)  # a fresh table nobody else holds: the constructor need not copy it

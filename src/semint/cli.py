@@ -215,6 +215,8 @@ def _get(obj: dict, key: str, loc: str):
 
 def _num_list(x, loc: str) -> list[float]:
     items = _as_list(x, loc)
+    if set(map(type, items)) == {float}:  # what _as_num returns for each: no item needs a location
+        return items
     return [_as_num(v, f"{loc}/{i}") for i, v in enumerate(items)]
 
 

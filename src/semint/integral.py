@@ -124,23 +124,29 @@ def integrate(s: Semicopula, c: Capacity, f: MeasurableFn) -> IntegralResult:
     the best: ``S(v, m) <= v`` holds exactly for each (see
     ``_SCALAR_FORMULAS``), so neither ``v`` nor any lower level can reach the
     best.  A table semicopula keeps the bound only within ``AXIOM_TOL`` at
-    its lattice nodes, or not at all if unvalidated, so it walks every level.
-    All comparisons are exact and candidates are evaluated at the stored
-    double values, so no tolerance is involved.  Both lie in [0,1], checked
-    when ``f`` and ``c`` were built: a builtin's formula is called directly on
-    the two floats, and a table's ``evaluate``.
+    its lattice nodes, or not at all if unvalidated, so it walks every level,
+    after one ``_evaluate_array`` call over all of them: the table path of
+    ``evaluate`` takes the same operations entry by entry, so the values are
+    the same to the bit.  All comparisons are exact and candidates are
+    evaluated at the stored double values, so no tolerance is involved.  Both
+    lie in [0,1], checked when ``f`` and ``c`` were built: a builtin's formula
+    is called directly on the two floats.
     """
     _require_same_space(c, f)
     levels, masks = f._chain or _level_chains(f.values[None])[0]
-    item = c.table.item
-    formula = _SCALAR_FORMULAS.get(s.kind)
-    prune = formula is not None  # a builtin: S(v, m) <= v exactly, see _SCALAR_FORMULAS
-    if formula is None:
-        formula = s.evaluate
     best = -1.0
     best_t = 0.0
+    formula = _SCALAR_FORMULAS.get(s.kind)
+    if formula is None:  # a table: one array evaluation over every level, then the same walk without the stop
+        values = s._evaluate_array(np.frombuffer(levels), c.table[np.frombuffer(masks, dtype=np.int64)])
+        for v, val in zip(levels, values.tolist()):
+            if val >= best:
+                best = val
+                best_t = v
+        return IntegralResult(float(best), float(best_t), len(levels))
+    item = c.table.item
     for v, level in zip(levels, masks):
-        if prune and v < best:
+        if v < best:  # S(v, m) <= v exactly for a builtin, see _SCALAR_FORMULAS
             break
         val = formula(v, item(level))
         if val >= best:

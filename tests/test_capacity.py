@@ -1,5 +1,6 @@
 import hashlib
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -22,6 +23,7 @@ from semint import (
     random_capacity,
     validate_table,
 )
+import semint.capacity as capacity_module
 from semint.capacity import _interp_monotone, _lattice_pairs
 
 
@@ -818,3 +820,110 @@ def test_from_table_error_is_the_first_listed_violation_and_costs_one(fix_bounda
             Capacity.from_table(space, table)
 
     assert peak_bytes(build) < 8 * table.nbytes
+
+
+# ---------------------------------------------------------------------------
+# the full-table scans on two threads: the same bits as the serial scans
+
+
+def split_everywhere(monkeypatch):
+    """Make every _in_halves call start its thread, whatever the view size and the CPUs this process may use."""
+    monkeypatch.setattr(capacity_module, "_SPLIT_ENTRIES", 0)
+    monkeypatch.setattr(capacity_module, "_TWO_CPUS", True)
+
+
+def planted_table(n: int, rng: np.random.Generator) -> np.ndarray:
+    """A random capacity table with faults in its lower half, in its upper half and across the top point.
+
+    An entry raised in the lower half drops to its supersets in both halves; an entry cut to 0 in the
+    upper half lies below its subset without the top point; both halves get a value outside [0,1].
+    """
+    table = random_capacity(FiniteSpace(n), rng).table.copy()
+    half = table.size // 2
+    for lo, hi in ((0, half), (half, table.size)):
+        hits = rng.integers(lo, hi, max(1, half // 16))
+        table[hits] = rng.random(hits.size)
+    table[rng.integers(0, half)] = 1.0
+    table[rng.integers(half, table.size)] = 0.0
+    table[rng.integers(0, half)] = rng.choice([math.nan, -0.5, 1.0 + 2**-52])
+    table[rng.integers(half, table.size)] = rng.choice([math.inf, 2.0, -5e-324])
+    return table
+
+
+def scan_results(space: FiniteSpace, tables, seeds) -> list:
+    """The random tables' bytes, and each table's violation list and constructor error, as plain values."""
+    threads = threading.active_count()
+    out = [random_capacity(space, np.random.default_rng(seed)).table.tobytes() for seed in seeds]
+    for table in tables:
+        # the table as planted, then in range, so that the constructor reports its first fault past the range check
+        for values in (table, np.clip(np.nan_to_num(table, nan=0.5), 0.0, 1.0)):
+            out.append([(v.kind, v.message, v.mask, v.element) for v in validate_table(space, values)])
+            try:
+                Capacity.from_table(space, values)
+                out.append(None)
+            except (DomainError, NotNormalizedError, NotMonotoneError) as err:
+                out.append((type(err), str(err), getattr(err, "mask", None), getattr(err, "element", None)))
+        assert threading.active_count() == threads  # no thread outlives a call
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_split_scans_match_the_serial_scans_bit_for_bit(monkeypatch, n):
+    space = FiniteSpace(n)
+    rng = np.random.default_rng([n, 18])
+    tables = [planted_table(n, rng) for _ in range(3)]
+    seeds = (0, n, 2**40 + n)
+    serial = scan_results(space, tables, seeds)
+    split_everywhere(monkeypatch)
+    assert scan_results(space, tables, seeds) == serial
+
+
+def test_scans_past_the_split_size_match_one_cpu_bit_for_bit(monkeypatch):
+    space = FiniteSpace(20)  # every pass's views reach _SPLIT_ENTRIES
+    assert space.num_subsets // 2 >= capacity_module._SPLIT_ENTRIES
+    table = random_capacity(space, np.random.default_rng(20)).table.copy()
+    table[[3, 5 << 17, 1 << 19, (1 << 20) - 2]] = [1.0, 1.5, 0.0, math.nan]
+    monkeypatch.setattr(capacity_module, "_TWO_CPUS", True)
+    split = scan_results(space, [table], (7,))
+    monkeypatch.setattr(capacity_module, "_TWO_CPUS", False)
+    assert split == scan_results(space, [table], (7,))
+
+
+def test_small_tables_and_one_cpu_start_no_thread(monkeypatch):
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(capacity_module.threading, "Thread", no_thread)
+    space = FiniteSpace(16)  # the largest table the cli and long-horizon benchmarks build
+    table = random_capacity(space, np.random.default_rng(16)).table
+    assert validate_table(space, table) == []
+    split_everywhere(monkeypatch)
+    monkeypatch.setattr(capacity_module, "_TWO_CPUS", False)
+    assert random_capacity(space, np.random.default_rng(16)).table.tobytes() == table.tobytes()
+
+
+def test_an_exception_in_either_half_reaches_the_caller_after_both_halves_ran(monkeypatch):
+    split_everywhere(monkeypatch)
+    threads = threading.active_count()
+    for failing in (0, 4):  # the thread's half, then the caller's half
+        seen = []
+
+        def fn(view, out):
+            seen.append(int(view[0]))
+            out[:] = view
+            if view[0] == failing:
+                raise ValueError(f"half at {failing}")
+
+        out = np.zeros(8, dtype=np.int64)
+        with pytest.raises(ValueError, match=f"half at {failing}"):
+            capacity_module._in_halves(fn, np.arange(8), out)
+        assert sorted(seen) == [0, 4] and out.tolist() == list(range(8))
+        assert threading.active_count() == threads
+
+
+def test_split_scans_keep_the_peak_memory_bounds(monkeypatch):
+    split_everywhere(monkeypatch)
+    space = FiniteSpace(18)
+    table = random_capacity(space, np.random.default_rng(9)).table
+    assert peak_bytes(lambda: random_capacity(space, np.random.default_rng(5))) < 1.75 * table.nbytes
+    assert peak_bytes(lambda: validate_table(space, table)) < table.nbytes // 2

@@ -597,3 +597,37 @@ def test_errors_in_a_bare_document_are_located_from_its_root(tmp_path, capsys, c
     out, err = capsys.readouterr()
     assert out == ""
     assert json.loads(err)["location"] == location
+
+
+# ---------------------------------------------------------------------------
+# number lists: all floats pass at once, anything else keeps its located check
+
+
+def test_a_number_list_of_floats_is_returned_whole_and_any_other_item_keeps_its_location():
+    floats = [k / 7.0 for k in range(70_000)]
+    assert cli._num_list(floats, "/capacity/values") is floats
+    for k in (0, 40_000, 69_999):
+        for bad, message in (
+            (True, "expected a number, got bool"),
+            ("0.5", "expected a number, got str"),
+            (10**400, "integer of 401 digits is out of the range of a double"),
+        ):
+            items = floats.copy()
+            items[k] = bad
+            with pytest.raises(cli.SchemaError) as err:
+                cli._num_list(items, "/capacity/values")
+            assert (str(err.value), err.value.location) == (message, f"/capacity/values/{k}")
+        items = floats.copy()
+        items[k] = 1  # an int is a number: read as a float, like every other item
+        got = cli._num_list(items, "/capacity/values")
+        assert got == [1.0 if i == k else v for i, v in enumerate(floats)] and type(got[k]) is float
+
+
+def test_a_bad_item_deep_in_a_large_table_is_located_end_to_end(tmp_path, capsys):
+    n = 16
+    values = [bin(mask).count("1") / n for mask in range(1 << n)]
+    values[40_000] = "x"
+    assert cli.run(["check-capacity", write(tmp_path, "t.json", {"n": n, "kind": "table", "values": values})]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err) == {"code": "schema", "message": "expected a number, got str", "location": "/values/40000"}

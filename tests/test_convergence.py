@@ -704,6 +704,33 @@ def test_survival_blocks_match_one_gather_bit_for_bit(monkeypatch, cells):
                 assert got == ref_survival(c, seq, grid, tail_start), (cells, grid, tail_start)
 
 
+@pytest.mark.parametrize("cells, tail_start", [(20, 8), (20, 11), (3, 2), (1, 23), (21, 8), (64, 23)])
+def test_survival_reads_the_head_at_the_smallest_threshold_alone_when_that_saves_a_block(monkeypatch, cells, tail_start):
+    # with 4 thresholds a block of 20 cells is 5 rows, so a block of the full grid at rows 5..9 would straddle
+    # tail start 8; there the 7 head rows save 7 * 3 = 21 cells, which is a block, and go 20 at a time at one
+    # threshold, the tail 5 at a time at all 4; with blocks of 21 or 64 cells no block is saved, and every row
+    # goes at all 4 thresholds
+    monkeypatch.setattr(conv, "_SURVIVAL_BLOCK_CELLS", cells)
+    rng = np.random.default_rng(54)
+    space = FiniteSpace(5)
+    c = random_capacity(space, rng)
+    seq = special_seq(space, 23, rng)
+    grid = [0.5, 0.01, 1.0, 0.25]
+    want = ref_survival(c, seq, grid, tail_start)
+    calls = []
+    level_masks = conv._level_masks
+    monkeypatch.setattr(conv, "_level_masks", lambda rows, t: calls.append((len(rows), len(t))) or level_masks(rows, t))
+    per_n, tail_sups = conv._survival(c, seq, grid, tail_start)
+    got = tuple(v.hex() for v in per_n.tolist()), tuple(v.hex() for v in tail_sups.tolist())
+    assert got == want
+    head = tail_start - 1 if (tail_start - 1) * 3 >= cells else 0
+    assert sum(rows for rows, g in calls if g == 1) == head
+    assert sum(rows for rows, g in calls if g == 4) == seq.horizon - head
+    assert all(rows * g <= max(cells, g) for rows, g in calls)
+    report = check_in_capacity(c, seq, grid, tail_start=tail_start)
+    assert [v.hex() for v in report.per_n] == list(got[0])
+
+
 def test_check_in_capacity_peak_memory_is_bounded_by_one_block():
     rng = np.random.default_rng(52)
     space = FiniteSpace(16)

@@ -393,8 +393,9 @@ def test_a_builtin_stops_below_the_best_and_a_table_evaluates_every_level(monkey
         calls.clear()
     table = CHAIN_KINDS[-1]
     monkeypatch.setattr(Semicopula, "evaluate", counted(calls, Semicopula.evaluate))
+    monkeypatch.setattr(Semicopula, "_evaluate_array", counted(calls, Semicopula._evaluate_array))
     assert integrate(table, c, r).candidates_inspected == 4
-    assert calls == [0.9, 0.3, 0.2, 0.1]  # one call per level, from the top
+    assert [a.tolist() for a in calls] == [[0.9, 0.3, 0.2, 0.1]]  # one array call over every level, from the top
 
 
 def test_a_table_above_the_min_bound_still_gets_the_full_walk():
@@ -412,6 +413,32 @@ def test_a_table_above_the_min_bound_still_gets_the_full_walk():
         f = MeasurableFn(c.space, row)
         for g in (f, kept(f)):
             assert_matches_reference(s, c, g)
+
+
+TABLE_KINDS = (
+    CHAIN_KINDS[-1],
+    Semicopula.from_function(lambda a, b: 0.9 * max(a, b), 20),  # above min: a low level can win
+    Semicopula.from_function(lambda a, b: max(a + b - 1.0, 0.0), 10),  # zero divisors: ties at 0
+)
+
+
+@pytest.mark.parametrize("n", [1, 4, 9, 16])
+def test_a_table_integral_is_one_array_call_and_matches_the_per_level_reference(monkeypatch, n):
+    rng = np.random.default_rng([n, 41])
+    c = rng_capacity(42 + n, n)
+    rows = chain_rows(n, 12, rng)
+    rows[::4] = rng.choice([0.0, -0.0, 5e-324, 0.5], rows[::4].shape)
+    for s in TABLE_KINDS:
+        for row in rows:
+            f = MeasurableFn(c.space, row)
+            for g in (f, kept(f)):
+                assert_matches_reference(s, c, g)
+                calls = []
+                with monkeypatch.context() as m:
+                    m.setattr(Semicopula, "evaluate", counted(calls, Semicopula.evaluate))
+                    m.setattr(Semicopula, "_evaluate_array", counted(calls, Semicopula._evaluate_array))
+                    result = integrate(s, c, g)
+                assert len(calls) == 1 and calls[0].size == result.candidates_inspected
 
 
 # ---------------------------------------------------------------------------
