@@ -32,14 +32,15 @@ random builder's envelope splits the table by its top point: passes
 ``0 .. n-2`` pair masks within one half, so each thread takes every one of
 them on its own half, and the top pass, which pairs the halves, is then
 split along its offsets.  ``validate_table`` splits each pass's comparison
-(and the range check) into the two halves of one bool array, and one
-``flatnonzero`` over the whole array reads the faults in mask order.  Every
-pass is elementwise over disjoint slices and the passes keep their order on
-each entry, so tables and violation lists are bit for bit the serial ones.
+into the two halves of one bool array, and one ``flatnonzero`` over the
+whole array reads the faults in mask order.  Every pass is elementwise
+over disjoint slices and the passes keep their order on each entry, so
+tables and violation lists are bit for bit the serial ones.
 numpy's ufuncs release the GIL, so the halves run at once.  The split is
 skipped below ``_SPLIT_ENTRIES`` entries per view (n < 20 for a comparison
 pass) and when the process may use one CPU only, which ``_TWO_CPUS`` reads
-once at import.  The prefix doubling and ``_interp_monotone`` stay serial.
+once at import.  The range check, the prefix doubling and
+``_interp_monotone`` stay serial.
 
 All capacity objects are immutable after construction and safe to share
 across threads.
@@ -103,9 +104,10 @@ def _in_halves(fn, *views: np.ndarray) -> None:
     CPUs.  The thread is joined before this returns, whatever either half
     raised, and an exception from the thread's half is raised again here.
     ``fn`` should allocate no large temporary: one made on the thread comes
-    from that thread's malloc arena, and the range check's temporary there
-    cost about 4 MiB more peak RSS per ``big-tables`` run at n = 22, so the
-    caller passes scratch views instead.
+    from that thread's malloc arena, and a bool temporary of the table's size
+    made there cost about 4 MiB more peak RSS per ``big-tables`` run at
+    n = 22, so the caller allocates every array ``fn`` writes and passes it
+    as a view.
 
     With fewer than ``_SPLIT_ENTRIES`` entries per view, or one usable CPU
     (``_TWO_CPUS``), it is one call ``fn(*views)`` on this thread.
@@ -130,21 +132,6 @@ def _in_halves(fn, *views: np.ndarray) -> None:
         thread.join()
     if raised:
         raise raised[0]
-
-
-def _bool_map(fn, *views: np.ndarray) -> np.ndarray:
-    """A C-ordered bool array shaped like the views, written as ``fn(*views, out)`` through ``_in_halves``."""
-    out = np.empty(views[0].shape, dtype=bool)
-    _in_halves(fn, *views, out)
-    return out
-
-
-def _outside_unit(values: np.ndarray, scratch: np.ndarray, out: np.ndarray) -> None:
-    """Write into ``out`` where ``values`` lies outside [0,1], NaN included; ``scratch`` is a bool array like ``out``."""
-    np.greater_equal(values, 0.0, out=out)
-    np.less_equal(values, 1.0, out=scratch)
-    out &= scratch
-    np.logical_not(out, out=out)
 
 
 @dataclass(frozen=True, slots=True)
@@ -224,7 +211,7 @@ def _faults(table: np.ndarray, points: int):
     mu(X) != 1, then for each point ``i`` (the ``element``) the masks ``A``
     without ``i`` where mu(A) > mu(A + {i}), in increasing order.
     """
-    yield "domain", np.flatnonzero(_bool_map(_outside_unit, table, np.empty(table.shape, dtype=bool))), None
+    yield "domain", np.flatnonzero(~((table >= 0.0) & (table <= 1.0))), None
     boundary = [mask for mask, want in ((0, 0.0), (table.size - 1, 1.0)) if table[mask] != want]
     yield "not-normalized", np.array(boundary, dtype=np.int64), None
     for i, lo, hi, order in _lattice_pairs(table, points):
@@ -232,7 +219,8 @@ def _faults(table: np.ndarray, points: int):
             lo, hi = lo[0], hi[0]
         # a C-ordered result, whatever the iteration order, so that flatnonzero need not copy it; its
         # halves are written at once, and one flatnonzero over the whole reads them in mask order
-        drops = _bool_map(lambda lo, hi, out: np.greater(lo, hi, out=out, order=order), lo, hi)
+        drops = np.empty(lo.shape, dtype=bool)
+        _in_halves(lambda lo, hi, out: np.greater(lo, hi, out=out, order=order), lo, hi, drops)
         k = np.flatnonzero(drops)  # k = block * 2**i + offset; its mask is block * 2**(i+1) + offset
         yield "not-monotone", k + (k >> i << i), i
 

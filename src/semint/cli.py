@@ -369,14 +369,7 @@ def _parse_sequence(doc, space: FiniteSpace, params: dict, loc: str) -> FnSequen
     obj = _as_obj(doc, loc)
     kind = _as_str(_get(obj, "kind", loc), f"{loc}/kind")
     if kind == "constant-rate":
-        rate = _get(obj, "rate", loc)
-        if not isinstance(rate, str):
-            value = _as_num(rate, f"{loc}/rate")
-
-            def rate(n, _v=value):
-                return _v
-
-            rate.__name__ = _fmt_float(value)
+        rate = _as_str(_get(obj, "rate", loc), f"{loc}/rate")
         horizon = params.get("horizon", DEFAULT_HORIZON)
         try:
             return counterexample_constant(space, rate, horizon)

@@ -109,12 +109,13 @@ def _float_array(values, name: str, *, copy: bool = False) -> np.ndarray:
     """``values`` as a float64 array, or a ``DomainError`` naming ``name`` where numpy cannot read them as one.
 
     Without ``copy`` a float64 ndarray is returned as it is; with it the
-    result is always a new array.  Ragged rows or text raise the
+    result is always a new array.  Ragged rows, text, entries that are not
+    numbers (a dict, say) or ints too large for a double raise the
     ``DomainError``.
     """
     try:
         return (np.array if copy else np.asarray)(values, dtype=np.float64)
-    except ValueError:
+    except (TypeError, ValueError, OverflowError):  # TypeError for a dict or an object entry
         raise DomainError(f"{name} must be a regular array of numbers") from None
 
 
@@ -126,8 +127,8 @@ def _kept_array(values, name: str) -> np.ndarray:
     later code checks them again.  A read-only float64 ndarray (not a
     subclass) that owns its memory is kept as it is; anything else, which the
     caller could still write, is copied.  Calling ``setflags(write=True)`` on a
-    kept array and writing to it is unsupported.  Ragged rows or text raise
-    the ``DomainError`` of ``_float_array``.
+    kept array and writing to it is unsupported.  Values that ``_float_array``
+    cannot read raise its ``DomainError``.
     """
     if type(values) is np.ndarray and not values.flags.writeable and values.base is None and values.dtype == np.float64:
         return values

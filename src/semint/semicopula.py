@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from semint.errors import DomainError, _checked_int, _kept_array
+from semint.errors import DomainError, _checked_int, _float_array, _kept_array
 
 AXIOM_TOL = 1e-12
 
@@ -128,7 +128,7 @@ class Semicopula:
             if formula is not None:
                 return formula(a, b)
             return float(self._table_eval(np.asarray(a), np.asarray(b)))
-        a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+        a, b = _float_array(a, "semicopula arguments"), _float_array(b, "semicopula arguments")
         if np.any(~((a >= 0.0) & (a <= 1.0))) or np.any(~((b >= 0.0) & (b <= 1.0))):
             raise DomainError("arguments outside [0,1]^2")
         return self._evaluate_array(a, b)

@@ -337,6 +337,17 @@ def test_converge_unknown_rate(tmp_path):
     assert err["code"] == "bad-rate" and err["location"] == "/sequence/rate"
 
 
+@pytest.mark.parametrize("params", [{}, {"horizon": 1}])
+def test_converge_numeric_rate_is_a_located_schema_error(tmp_path, params):
+    doc = converge_instance(**params)
+    doc["sequence"]["rate"] = 0.5
+    proc = run_cli("converge", write(tmp_path, "r.json", doc))
+    assert proc.returncode == 2 and proc.stdout == b""
+    err = error_of(proc)
+    assert err["code"] == "schema" and err["location"] == "/sequence/rate"
+    assert err["message"] == "expected a string, got float"
+
+
 # ---------------------------------------------------------------------------
 # counterexample / audit
 

@@ -642,6 +642,53 @@ def test_integral_below_split_of_min_form(seed, data):
         assert min_form <= max(float(t0), survival(c, r, float(t0))) + 1e-15
 
 
+@given(st.integers(1, 7), st.integers(1, 12), st.integers(1, 8), st.integers(min_value=0, max_value=2**31))
+@settings(max_examples=40, deadline=None)
+def test_each_term_of_the_three_modes_obeys_the_dominance_bounds(n, horizon, grid_points, seed):
+    """Per term k, with residual h and t_1 the smallest grid threshold, exactly for the builtins (S <= min):
+    I_S(mu, h) <= mu({h > 0}), mu({h >= t_1}) <= mu({h > 0}) and I_S(mu, h) <= max(t_1, mu({h >= t_1}))."""
+    rng = np.random.default_rng(seed)
+    space = FiniteSpace(n)
+    c = random_capacity(space, rng)
+    # terms and limit in [0,1], a third of their values on a few points that the grid may also hold, so that
+    # residuals tie with each other and with thresholds; the tails are not zero
+    values = rng.random((horizon + 1, n))
+    ties = rng.random(values.shape) < 0.3
+    values[ties] = rng.choice([0.0, 0.25, 0.5, 0.75, 1.0], ties.sum())
+    seq = FnSequence(space, tuple(MeasurableFn(space, row) for row in values[1:]), MeasurableFn(space, values[0]))
+    grid = 1.0 - rng.random(grid_points)  # in (0, 1]
+    grid[rng.random(grid_points) < 0.3] = 0.25
+    t_1 = float(grid.min())
+    strict = check_strict(c, seq).per_n
+    in_capacity = check_in_capacity(c, seq, grid).per_n
+    for s in BUILTINS:
+        in_mean = check_in_mean(s, c, seq).per_n
+        for k in range(horizon):
+            assert in_mean[k] <= strict[k], (s.kind, k)
+            assert in_mean[k] <= max(t_1, in_capacity[k]), (s.kind, k)
+    for k in range(horizon):
+        assert in_capacity[k] <= strict[k], k
+
+
+@pytest.mark.parametrize(
+    "hyp, concl, summary",
+    [
+        ("pass", "fail", "CONSISTENCY VIOLATION: strict=pass, in-mean=fail"),
+        ("fail", "pass", "consistent: strict=fail, in-mean=pass (conclusion holds without the hypothesis)"),
+        ("pass", "pass", "consistent: strict=pass, in-mean=pass"),
+        ("pass", "inconclusive", "consistent: strict=pass, in-mean=inconclusive"),
+    ],
+)
+def test_implication_report_flags_only_a_passed_hypothesis_with_a_failed_conclusion(hyp, concl, summary):
+    def report(mode, verdict):
+        return conv.ConvergenceReport(mode, verdict, 1, 0.0, 1, 0.5, 0.5, (0.5,))
+
+    r = conv._implication_report(2, report("strict", hyp), report("in-mean", concl))
+    assert r.summary == summary
+    assert r.violation is summary.startswith("CONSISTENCY VIOLATION") and r.consistent is not r.violation
+    assert r.to_json_dict()["summary"] == summary and r.to_json_dict()["violation"] is r.violation
+
+
 def test_counterexample_facts_over_random_capacities():
     seq = constant_seq(100)
     grid = default_t_grid()

@@ -84,6 +84,15 @@ def test_evaluate_rejects_out_of_range(bad):
         assert str(err.value) == "arguments outside [0,1]^2"
 
 
+@pytest.mark.parametrize("bad", [[[0.5, 0.5], [0.5]], [{}, 0.5], ["half", 0.5], [10**400, 0.5]])
+def test_evaluate_names_arguments_that_are_not_an_array_of_numbers(bad):
+    for s in BUILTINS + (Semicopula.from_grid([[0.0, 0.0], [0.0, 1.0]]),):
+        for a, b in ((bad, 0.5), (0.5, bad)):
+            with pytest.raises(DomainError) as err:
+                s.evaluate(a, b)
+            assert str(err.value) == "semicopula arguments must be a regular array of numbers"
+
+
 SCALAR_SPECIALS = (0.0, 5e-324, math.nextafter(1.0, 0.0), 1.0)
 
 
