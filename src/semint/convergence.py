@@ -45,13 +45,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from numbers import Real
 from typing import Callable, Sequence
 
 import numpy as np
 
 from semint.capacity import Capacity, FiniteSpace, random_capacity
-from semint.errors import BadGridError, BadRateError, DomainError, _checked_int
+from semint.errors import BadGridError, BadRateError, DomainError, _checked_int, _float, _float_array
 from semint.integral import _level_chains, integrate
 from semint.measurable import _SMALLEST_POSITIVE, MeasurableFn, _level_masks, _require_same_space, residual
 from semint.semicopula import Semicopula
@@ -106,6 +105,8 @@ class FnSequence:
         object.__setattr__(self, "terms", tuple(self.terms))
         if not self.terms:
             raise DomainError("sequence needs at least one term")
+        if not all(isinstance(f, MeasurableFn) for f in (self.limit, *self.terms)):
+            raise DomainError("sequence terms and limit must be MeasurableFn objects")
         residuals = tuple(residual(term, self.limit) for term in self.terms)  # checks each term's space
         _require_same_space(self.limit, self)
         matrix = np.stack([r.values for r in residuals])
@@ -178,12 +179,13 @@ def _tail_start(horizon: int, tail_start: int | None) -> int:
     return tail_start
 
 
-def _checked_tail_start(c: Capacity, seq: FnSequence, epsilon: float, tail_start: int | None) -> int:
-    """The entry check every mode shares; returns tail_start, defaulted."""
+def _checked_entry(c: Capacity, seq: FnSequence, epsilon, tail_start: int | None) -> tuple[float, int]:
+    """The modes' entry check: epsilon for the report (an int as given, else its float) and tail_start."""
     _require_same_space(c, seq)
-    if isinstance(epsilon, bool) or not (isinstance(epsilon, Real) and math.isfinite(epsilon) and epsilon >= 0.0):
+    value = _float(epsilon, "epsilon")
+    if not 0.0 <= value < math.inf:
         raise DomainError(f"epsilon must be finite and >= 0, got {epsilon!r}")
-    return _tail_start(seq.horizon, tail_start)
+    return epsilon if isinstance(epsilon, int) else value, _tail_start(seq.horizon, tail_start)
 
 
 # rows x thresholds cells _survival gathers at once: 256 KiB each for a block's masks and survival values,
@@ -251,14 +253,11 @@ def check_in_capacity(
     tail_start: int | None = None,
 ) -> ConvergenceReport:
     """Tail check of mu({|f_n - f| >= t}) over a threshold grid in (0, 1]."""
-    tail_start = _checked_tail_start(c, seq, epsilon, tail_start)
-    if t_grid is None:
-        grid = default_t_grid()
-    else:
-        try:
-            grid = np.asarray(t_grid, dtype=np.float64)
-        except (TypeError, ValueError):  # ragged rows, text or other objects that are not numbers
-            grid = None
+    epsilon, tail_start = _checked_entry(c, seq, epsilon, tail_start)
+    try:
+        grid = default_t_grid() if t_grid is None else _float_array(t_grid, "t_grid")
+    except DomainError:  # ragged rows, text or other objects that are not numbers
+        grid = None
     if grid is None or grid.ndim != 1 or grid.size == 0:
         raise BadGridError("t_grid must be a nonempty 1-d list of thresholds")
     if np.any(~((grid > 0.0) & (grid <= 1.0))):
@@ -275,7 +274,7 @@ def check_strict(
     tail_start: int | None = None,
 ) -> ConvergenceReport:
     """Tail check of mu({|f_n - f| > 0}): the in-capacity check at the one threshold _SMALLEST_POSITIVE."""
-    tail_start = _checked_tail_start(c, seq, epsilon, tail_start)
+    epsilon, tail_start = _checked_entry(c, seq, epsilon, tail_start)
     per_n, tail_sups = _survival(c, seq, [_SMALLEST_POSITIVE], tail_start)
     return _report(MODE_STRICT, seq, epsilon, tail_start, per_n, tail_sups.max())
 
@@ -288,7 +287,7 @@ def check_in_mean(
     tail_start: int | None = None,
 ) -> ConvergenceReport:
     """Tail check of the seminormed integral of |f_n - f|, over the residuals and chains the sequence keeps."""
-    tail_start = _checked_tail_start(c, seq, epsilon, tail_start)
+    epsilon, tail_start = _checked_entry(c, seq, epsilon, tail_start)
     values = [integrate(s, c, r).value for r in seq._residuals]
     return _report(MODE_IN_MEAN, seq, epsilon, tail_start, values, max(values[tail_start - 1 :]))
 
@@ -402,19 +401,16 @@ def counterexample_constant(
         try:
             fn = BUILTIN_RATES[rate]
         except KeyError:
-            raise BadRateError(
-                f"unknown rate {rate!r}; builtins: {', '.join(sorted(BUILTIN_RATES))}"
-            ) from None
+            raise BadRateError(f"unknown rate {rate!r}; builtins: {', '.join(sorted(BUILTIN_RATES))}") from None
         label = rate
-    values = [float(fn(n)) for n in range(1, horizon + 1)]
+    values = [_float(fn(n), "rate value") for n in range(1, horizon + 1)]
     for n, a in enumerate(values, start=1):
         if not 0.0 < a <= 1.0:
             raise BadRateError(f"a_{n} = {a!r} outside (0, 1]")
     for n in range(1, len(values)):
         if values[n] >= values[n - 1]:
             raise BadRateError(
-                f"rate does not vanish over the horizon: a_{n} = {values[n - 1]!r} "
-                f"<= a_{n + 1} = {values[n]!r}"
+                f"rate does not vanish over the horizon: a_{n} = {values[n - 1]!r} <= a_{n + 1} = {values[n]!r}"
             )
     terms = tuple(MeasurableFn.constant(space, a) for a in values)
     limit = MeasurableFn.constant(space, 0.0)

@@ -106,17 +106,32 @@ def _checked_int(value, name: str) -> int:
 
 
 def _float_array(values, name: str, *, copy: bool = False) -> np.ndarray:
-    """``values`` as a float64 array, or a ``DomainError`` naming ``name`` where numpy cannot read them as one.
+    """``values``, a number or an array of them, as float64, or a ``DomainError`` naming ``name``.
 
-    Without ``copy`` a float64 ndarray is returned as it is; with it the
-    result is always a new array.  Ragged rows, text, entries that are not
-    numbers (a dict, say) or ints too large for a double raise the
-    ``DomainError``.
+    Without ``copy`` a float64 ndarray is returned as it is, else always a new array.  Ragged rows, entries
+    that are not numbers (a dict, say), ints too large for a double, complex numbers and text raise the
+    ``DomainError``; numpy would read ``"0.5"`` as a number, so str and bytes are refused before the cast.
     """
     try:
-        return (np.array if copy else np.asarray)(values, dtype=np.float64)
+        array = np.asarray(values)
+        kind = array.dtype.kind
+        if kind in "biuf" or kind == "O" and not any(isinstance(v, (str, bytes)) for v in array.flat):
+            # a list or tuple is read into a new array already
+            return array.astype(np.float64, copy=copy and not isinstance(values, (list, tuple)))
     except (TypeError, ValueError, OverflowError):  # TypeError for a dict or an object entry
-        raise DomainError(f"{name} must be a regular array of numbers") from None
+        pass
+    raise DomainError(f"{name} must be a regular array of numbers")
+
+
+def _float(value, name: str) -> float:
+    """``value`` as one float, read by ``_float_array``; ``bool`` is refused, as ``_checked_int`` refuses it."""
+    try:
+        array = _float_array(value, name)
+    except DomainError:
+        array = None
+    if array is None or array.ndim or isinstance(value, (bool, np.bool_)):
+        raise DomainError(f"{name} must be a number a double can hold, got {type(value).__name__}")
+    return float(array)
 
 
 def _kept_array(values, name: str) -> np.ndarray:
@@ -127,8 +142,7 @@ def _kept_array(values, name: str) -> np.ndarray:
     later code checks them again.  A read-only float64 ndarray (not a
     subclass) that owns its memory is kept as it is; anything else, which the
     caller could still write, is copied.  Calling ``setflags(write=True)`` on a
-    kept array and writing to it is unsupported.  Values that ``_float_array``
-    cannot read raise its ``DomainError``.
+    kept array and writing to it is unsupported.
     """
     if type(values) is np.ndarray and not values.flags.writeable and values.base is None and values.dtype == np.float64:
         return values

@@ -125,12 +125,11 @@ def integrate(s: Semicopula, c: Capacity, f: MeasurableFn) -> IntegralResult:
     ``_SCALAR_FORMULAS``), so neither ``v`` nor any lower level can reach the
     best.  A table semicopula keeps the bound only within ``AXIOM_TOL`` at
     its lattice nodes, or not at all if unvalidated, so it walks every level,
-    after one ``_evaluate_array`` call over all of them: the table path of
-    ``evaluate`` takes the same operations entry by entry, so the values are
-    the same to the bit.  All comparisons are exact and candidates are
-    evaluated at the stored double values, so no tolerance is involved.  Both
-    lie in [0,1], checked when ``f`` and ``c`` were built: a builtin's formula
-    is called directly on the two floats.
+    after one ``_evaluate_array`` call over all of them, the path of
+    ``evaluate``.  All comparisons are exact and candidates are evaluated at
+    the stored double values, so no tolerance is involved.  Both lie in
+    [0,1], checked when ``f`` and ``c`` were built: a builtin's formula is
+    called directly on the two floats.
     """
     _require_same_space(c, f)
     levels, masks = f._chain or _level_chains(f.values[None])[0]

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from semint.capacity import Capacity, FiniteSpace
-from semint.errors import DomainError, SpaceMismatchError, _kept_array
+from semint.errors import DomainError, SpaceMismatchError, _float, _kept_array
 
 # the smallest positive double: on values >= 0, {v > 0} is the level set {v >= _SMALLEST_POSITIVE}
 _SMALLEST_POSITIVE = float(np.nextafter(0.0, 1.0))
@@ -68,7 +68,7 @@ class MeasurableFn:
 
     @classmethod
     def constant(cls, space: FiniteSpace, value: float) -> "MeasurableFn":
-        return cls(space, np.full(space.size, float(value)))
+        return cls(space, np.full(space.size, _float(value, "function value")))
 
     @classmethod
     def indicator(cls, space: FiniteSpace, mask: int) -> "MeasurableFn":
@@ -145,9 +145,10 @@ def _level_masks(values: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
 
 def level_set(f: MeasurableFn, t: float) -> int:
     """Mask of ``{i : f(i) >= t}``, exact comparison."""
-    if not 0.0 <= t <= 1.0:
+    value = _float(t, "threshold")
+    if not 0.0 <= value <= 1.0:
         raise DomainError(f"threshold {t!r} outside [0,1]")
-    return int(_level_masks(f.values, [t])[0])
+    return int(_level_masks(f.values, [value])[0])
 
 
 def strict_support(f: MeasurableFn) -> int:

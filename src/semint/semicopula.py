@@ -10,7 +10,9 @@ certifies a candidate only at the sampled resolution, and the resolution is
 part of the report.  For the builtins this is a redundant but cheap
 confirmation; for tables it is the only check possible.
 
-Evaluation is pure and reentrant; instances are immutable after construction.
+``evaluate`` reads numbers and arrays alike, through ``errors._float_array``;
+``_SCALAR_FORMULAS`` serves ``integrate``'s walk alone.  Evaluation is pure
+and reentrant; instances are immutable after construction.
 """
 
 from __future__ import annotations
@@ -51,9 +53,9 @@ def _lukasiewicz(a: float, b: float) -> float:
     return s if s > 0.0 else 0.0
 
 
-# each builtin's formula on two Python floats already checked to lie in [0,1].  Each satisfies
-# S(a, b) <= min(a, b) exactly in floating point (the same operations in the same order as
-# _evaluate_array, so that form does too), which lets integrate stop its walk at the first level below the best:
+# each builtin's formula on two Python floats already checked to lie in [0,1], for integrate's walk alone.
+# Each satisfies S(a, b) <= min(a, b) exactly in floating point (the same operations in the same order as
+# _evaluate_array, so that form does too), which lets the walk stop at the first level below the best:
 # - min: by definition;
 # - product, prodmax: rounding is monotone and a*b <= a when b <= 1, so fl(a*b) <= fl(a) = a (and <= b);
 #   prodmax then multiplies that by a factor of at most 1;
@@ -113,21 +115,7 @@ class Semicopula:
         return cls.from_grid([[fn(a, b) for b in axis] for a in axis])
 
     def evaluate(self, a, b):
-        """S(a, b); accepts scalars or equally-shaped numpy arrays.
-
-        Builtin formulas keep the neutral identities S(a,1)=a and S(1,b)=b
-        exact in floating point (the truncated sum needs an explicit guard
-        for that).
-        """
-        if isinstance(a, (int, float)) and isinstance(b, (int, float)):
-            a = float(a)
-            b = float(b)
-            if not (0.0 <= a <= 1.0 and 0.0 <= b <= 1.0):
-                raise DomainError(f"arguments ({a!r}, {b!r}) outside [0,1]^2")
-            formula = _SCALAR_FORMULAS.get(self.kind)
-            if formula is not None:
-                return formula(a, b)
-            return float(self._table_eval(np.asarray(a), np.asarray(b)))
+        """S(a, b) for numbers (a numpy float64) or equally-shaped arrays; builtins keep S(a,1)=a, S(1,b)=b exact."""
         a, b = _float_array(a, "semicopula arguments"), _float_array(b, "semicopula arguments")
         if np.any(~((a >= 0.0) & (a <= 1.0))) or np.any(~((b >= 0.0) & (b <= 1.0))):
             raise DomainError("arguments outside [0,1]^2")
@@ -138,12 +126,13 @@ class Semicopula:
     def _evaluate_array(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """S(a, b) on float64 arrays whose entries the caller has already kept in [0,1]."""
         kind = self.kind
+        # np.where, not np.minimum/np.maximum, picks the tie of -0.0 and 0.0 as _min and _prodmax do
         if kind == "min":
-            return np.minimum(a, b)
+            return np.where(a <= b, a, b)[()]
         if kind == "product":
             return a * b
         if kind == "prodmax":
-            return a * b * np.maximum(a, b)
+            return a * b * np.where(a >= b, a, b)
         if kind == "lukasiewicz":
             out = np.maximum(a + b - 1.0, 0.0)
             out = np.where(a == 1.0, b, out)

@@ -785,7 +785,9 @@ def test_from_table_copies_what_the_caller_can_still_write():
         (lambda v: validate_table(FiniteSpace(1), v), "capacity table"),
     ],
 )
-@pytest.mark.parametrize("bad", [[[0.0, 0.0], [0.0]], [0.0, [1.0]], ["zero", "one"], [{}, 1.0], [10**400, 1.0]])
+@pytest.mark.parametrize(
+    "bad", [[[0.0, 0.0], [0.0]], [0.0, [1.0]], ["zero", "one"], ["0.5", 1.0], [{}, 1.0], [10**400, 1.0]]
+)
 def test_ragged_or_text_input_is_a_domain_error_naming_the_array(build, name, bad):
     with pytest.raises(DomainError) as err:
         build(bad)

@@ -114,7 +114,9 @@ def test_in_capacity_rejects_bad_grid():
         check_in_capacity(UNIFORM, seq, [])
 
 
-@pytest.mark.parametrize("grid", [[[0.5], [0.5, 0.1]], ["a", "b"], [{}]], ids=["ragged", "text", "object"])
+@pytest.mark.parametrize(
+    "grid", [[[0.5], [0.5, 0.1]], ["a", "b"], ["0.5"], [{}]], ids=["ragged", "text", "numeric-text", "object"]
+)
 def test_in_capacity_locates_a_grid_that_is_not_a_list_of_numbers(grid):
     with pytest.raises(BadGridError, match="t_grid must be a nonempty 1-d list of thresholds"):
         check_in_capacity(UNIFORM, stationary_seq(), grid)
