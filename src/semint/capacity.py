@@ -25,22 +25,29 @@ mask ``A`` and every point ``i`` outside ``A``, require
 ``table[A] <= table[A | {i}]``.  By transitivity along chains this is
 equivalent to checking every subset pair, at O(n * 2**n) instead of O(4**n)
 cost.  Comparisons are exact; every constructor below is arranged so that its
-floating-point output is monotone without tolerance.
+floating-point output is monotone without tolerance.  ``validate_table``
+accepts a table by one ``lo <= hi`` sweep and its two endpoints, which imply
+the [0,1] range (the proof is in its docstring); only a table that fails the
+sweep gets the full diagnosis, ``_faults``.
 
-The two full-table scans run on two threads, through ``_in_halves``.  The
+Every full-table pass runs on two threads, through ``_in_halves``.  The
 random builder's envelope splits the table by its top point: passes
 ``0 .. n-2`` pair masks within one half, so each thread takes every one of
 them on its own half, and the top pass, which pairs the halves, is then
-split along its offsets.  ``validate_table`` splits each pass's comparison
-into the two halves of one bool array, and one ``flatnonzero`` over the
-whole array reads the faults in mask order.  Every pass is elementwise
-over disjoint slices and the passes keep their order on each entry, so
-tables and violation lists are bit for bit the serial ones.
+split along its offsets.  ``validate_table``'s sweep and ``_faults`` split
+each pass's comparison into the two halves of one bool array; in
+``_faults`` one ``flatnonzero`` over the whole array reads the faults in
+mask order.  Each prefix-doubling step splits its slice and the prefix it
+reads, ``from_additive``'s normalization splits the table, and
+``_interp_monotone`` splits its input and output, each half chunked on its
+own thread.  Every pass is elementwise over disjoint slices and the passes
+keep their order on each entry, so tables and violation lists are bit for
+bit the serial ones.
 numpy's ufuncs release the GIL, so the halves run at once.  The split is
 skipped below ``_SPLIT_ENTRIES`` entries per view (n < 20 for a comparison
 pass) and when the process may use one CPU only, which ``_TWO_CPUS`` reads
-once at import.  The range check, the prefix doubling and
-``_interp_monotone`` stay serial.
+once at import.  ``_faults``' [0,1] range check stays serial: it runs only
+on a table that is not a capacity.
 
 All capacity objects are immutable after construction and safe to share
 across threads.
@@ -65,6 +72,7 @@ from semint.errors import (
     _checked_int,
     _float_array,
     _kept_array,
+    _require_types,
 )
 
 MAX_POINTS = 24
@@ -107,7 +115,8 @@ def _in_halves(fn, *views: np.ndarray) -> None:
     from that thread's malloc arena, and a bool temporary of the table's size
     made there cost about 4 MiB more peak RSS per ``big-tables`` run at
     n = 22, so the caller allocates every array ``fn`` writes and passes it
-    as a view.
+    as a view; temporaries of a fixed size, such as ``_interp_monotone``'s
+    128 KiB chunks, are fine.
 
     With fewer than ``_SPLIT_ENTRIES`` entries per view, or one usable CPU
     (``_TWO_CPUS``), it is one call ``fn(*views)`` on this thread.
@@ -191,8 +200,20 @@ def validate_table(
     Returns every violated constraint (range, boundary normalization,
     single-element monotonicity), in deterministic order.  An empty list
     means the table is a valid capacity.
+
+    A capacity is accepted by ``_is_capacity`` alone: the two endpoints and
+    one ``lo <= hi`` sweep over every lattice pair, with no range pass and no
+    index arrays.  That is exact.  If the sweep holds, no entry is NaN, since
+    NaN fails every ``<=``; every mask lies on a chain of one-point steps from
+    the empty set to the full set, each step non-decreasing, so every entry
+    lies between ``table[0] = 0`` and ``table[-1] = 1`` and no range,
+    normalization or monotonicity constraint is violated.  Conversely a
+    capacity violates none of them, so it passes the sweep.  Only a table
+    that fails it is diagnosed by ``_faults``, which lists every violation.
     """
     table = _dense_table(space, values)
+    if _is_capacity(table, space.size):
+        return []
     faults = _faults(table, space.size)
     # _first is the Capacity constructor's mode: raise its error for the first violation and count
     # the rest from their index arrays, so a table with a million faults costs one message.  The
@@ -202,6 +223,24 @@ def validate_table(
         _raise_at_first_fault(table, faults)
         return []
     return [_violation(table, kind, mask, element) for kind, masks, element in faults for mask in masks.tolist()]
+
+
+def _is_capacity(table: np.ndarray, points: int) -> bool:
+    """Whether ``table[0] == 0``, ``table[-1] == 1`` and ``table[A] <= table[A + {i}]`` for every lattice pair.
+
+    Each pass compares into one bool buffer of ``2**(points-1)`` entries,
+    reused by every pass and written in halves through ``_in_halves``; the
+    sweep stops at the first pass with a pair that fails.
+    """
+    if not (table[0] == 0.0 and table[-1] == 1.0):
+        return False
+    holds = np.empty(table.size // 2, dtype=bool)
+    for _, lo, hi, order in _lattice_pairs(table, points):
+        out = holds.reshape(lo.shape)
+        _in_halves(lambda lo, hi, out: np.less_equal(lo, hi, out=out, order=order), lo, hi, out)
+        if not out.all():
+            return False
+    return True
 
 
 def _faults(table: np.ndarray, points: int):
@@ -215,8 +254,6 @@ def _faults(table: np.ndarray, points: int):
     boundary = [mask for mask, want in ((0, 0.0), (table.size - 1, 1.0)) if table[mask] != want]
     yield "not-normalized", np.array(boundary, dtype=np.int64), None
     for i, lo, hi, order in _lattice_pairs(table, points):
-        if lo.shape[0] == 1:  # the top point pairs the table's two halves: one block, split along its offsets
-            lo, hi = lo[0], hi[0]
         # a C-ordered result, whatever the iteration order, so that flatnonzero need not copy it; its
         # halves are written at once, and one flatnonzero over the whole reads them in mask order
         drops = np.empty(lo.shape, dtype=bool)
@@ -258,6 +295,7 @@ def _raise_at_first_fault(table: np.ndarray, faults) -> None:
 
 def _dense_table(space: FiniteSpace, values: Sequence[float] | np.ndarray) -> np.ndarray:
     """``values`` as a float64 array, not copied if it is one, which must be 1-d with one entry per subset."""
+    _require_types(("space", space, FiniteSpace))
     table = _float_array(values, "capacity table")
     if table.ndim != 1 or table.size != space.num_subsets:
         raise DomainError(
@@ -274,7 +312,8 @@ def _lattice_pairs(table: np.ndarray, points: int):
     at ``[block, half, offset]``, so ``lo[block, offset]`` is a mask without ``i`` and
     ``hi[block, offset]`` the same mask with ``i``.  Both are views of a contiguous
     table: writing ``hi`` updates the table in place, and flat positions in ``lo``
-    run in increasing mask order.
+    run in increasing mask order.  At the table's top point there is one
+    block, and ``lo`` and ``hi`` are its 1-d rows.
 
     ``order`` is the iteration order a ufunc over the pair should take.  At
     ``i = 1, 2`` a row of ``lo`` is only ``2**i`` long, so iterating along the
@@ -289,7 +328,10 @@ def _lattice_pairs(table: np.ndarray, points: int):
     """
     for i in range(points):
         pairs = table.reshape(-1, 2, 1 << i)
-        yield i, pairs[:, 0, :], pairs[:, 1, :], "F" if i in (1, 2) else "K"
+        lo, hi = pairs[:, 0, :], pairs[:, 1, :]
+        if lo.shape[0] == 1:  # the top point pairs the table's two halves: one block, so _in_halves splits its offsets
+            lo, hi = lo[0], hi[0]
+        yield i, lo, hi, "F" if i in (1, 2) else "K"
 
 
 def _doubling_table(w: np.ndarray, op) -> np.ndarray:
@@ -297,12 +339,15 @@ def _doubling_table(w: np.ndarray, op) -> np.ndarray:
 
     Points go in increasing order, each writing the slice ``[2**i, 2**(i+1))``
     from the prefix ``[0, 2**i)``, so a mask's entry applies its points'
-    weights lowest point first.
+    weights lowest point first.  Each step splits the slice and the prefix
+    it reads into halves through ``_in_halves``: entry ``2**i + A`` reads
+    entry ``A`` alone, so the halves are disjoint and give the serial bits.
     """
     table = np.empty(1 << w.size)
     table[0] = 0.0
     for i in range(w.size):
-        op(table[: 1 << i], w[i], out=table[1 << i : 2 << i])
+        weight = w[i]
+        _in_halves(lambda prefix, dest: op(prefix, weight, out=dest), table[: 1 << i], table[1 << i : 2 << i])
     return table
 
 
@@ -352,6 +397,7 @@ class Capacity:
         The weights must lie in [0,1] and attain 1 somewhere, which makes the
         result normalized; the running-max construction is exactly monotone.
         """
+        _require_types(("space", space, FiniteSpace))
         w = _float_array(weights, "possibility weights")
         if w.shape != (space.size,):
             raise DomainError(f"need {space.size} weights, got shape {w.shape}")
@@ -372,6 +418,7 @@ class Capacity:
         mask by adding one nonnegative weight at a time, which keeps the
         floating-point table exactly monotone.
         """
+        _require_types(("space", space, FiniteSpace))
         w = _float_array(weights, "additive weights")
         if w.shape != (space.size,):
             raise DomainError(f"need {space.size} weights, got shape {w.shape}")
@@ -385,7 +432,8 @@ class Capacity:
         if abs(total - 1.0) > _WEIGHT_SUM_TOL:
             raise BadWeightsError(f"additive weights sum to {total!r}, expected 1 within 1e-9")
         table = _doubling_table(w, np.add)
-        table /= table[-1]
+        top = table[-1]  # read before the halves divide, so both divide by the same sum
+        _in_halves(lambda half: np.divide(half, top, out=half), table)
         table[0] = 0.0
         table[-1] = 1.0
         return cls._adopt(space, table)
@@ -401,6 +449,7 @@ class Capacity:
         one too (the proof is in ``_interp_monotone``), so it skips the
         constructor's scan, like the additive and possibility builders.
         """
+        _require_types(("base", base, Capacity))
         samples = _float_array(g, "distortion samples")
         if samples.ndim != 1 or samples.size < 2:
             raise BadDistortionError("distortion needs at least 2 samples")
@@ -442,18 +491,24 @@ def _interp_monotone(samples: np.ndarray, x: np.ndarray) -> np.ndarray:
     - monotone across brackets: if ``k1 < k2``, then
       ``out1 <= samples[k1+1] <= samples[k2] <= out2``.
 
-    ``x`` (1-d) is processed in chunks of ``_INTERP_CHUNK`` entries, so the
-    temporaries stay small whatever the table size.
+    ``x`` (1-d) and the output are split into halves through ``_in_halves``,
+    and each half is processed in chunks of ``_INTERP_CHUNK`` entries, so the
+    temporaries stay small whatever the table size.  Every output entry
+    depends on its own input alone, so the split gives the serial bits.
     """
     m = samples.size - 1
     out = np.empty(x.shape)
-    for start in range(0, x.size, _INTERP_CHUNK):
-        pos = x[start : start + _INTERP_CHUNK] * m
-        k = np.minimum(pos.astype(np.int64), m - 1)
-        frac = pos - k
-        lo = samples[k]
-        hi = samples[k + 1]
-        np.clip(lo + (hi - lo) * frac, lo, hi, out=out[start : start + _INTERP_CHUNK])
+
+    def interp(x: np.ndarray, out: np.ndarray) -> None:
+        for start in range(0, x.size, _INTERP_CHUNK):
+            pos = x[start : start + _INTERP_CHUNK] * m
+            k = np.minimum(pos.astype(np.int64), m - 1)
+            frac = pos - k
+            lo = samples[k]
+            hi = samples[k + 1]
+            np.clip(lo + (hi - lo) * frac, lo, hi, out=out[start : start + _INTERP_CHUNK])
+
+    _in_halves(interp, x, out)
     return out
 
 
@@ -473,6 +528,7 @@ def random_capacity(space: FiniteSpace, rng: np.random.Generator) -> Capacity:
     The envelope step replaces each subset's draw with the max over its
     subsets, so no rejection sampling is needed.
     """
+    _require_types(("space", space, FiniteSpace), ("rng", rng, np.random.Generator))
     table = rng.random(space.num_subsets)
     # passes 0..n-2 pair masks within one half of the table, the masks without and with the top point, so
     # each half takes all of them on a thread of its own; the top pass pairs the halves, split along offsets

@@ -50,7 +50,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from semint.capacity import Capacity, FiniteSpace, random_capacity
-from semint.errors import BadGridError, BadRateError, DomainError, _checked_int, _float, _float_array
+from semint.errors import BadGridError, BadRateError, DomainError, _checked_int, _float, _float_array, _require_types
 from semint.integral import _level_chains, integrate
 from semint.measurable import _SMALLEST_POSITIVE, MeasurableFn, _level_masks, _require_same_space, residual
 from semint.semicopula import Semicopula
@@ -105,6 +105,7 @@ class FnSequence:
         object.__setattr__(self, "terms", tuple(self.terms))
         if not self.terms:
             raise DomainError("sequence needs at least one term")
+        _require_types(("space", self.space, FiniteSpace))
         if not all(isinstance(f, MeasurableFn) for f in (self.limit, *self.terms)):
             raise DomainError("sequence terms and limit must be MeasurableFn objects")
         residuals = tuple(residual(term, self.limit) for term in self.terms)  # checks each term's space
@@ -181,6 +182,7 @@ def _tail_start(horizon: int, tail_start: int | None) -> int:
 
 def _checked_entry(c: Capacity, seq: FnSequence, epsilon, tail_start: int | None) -> tuple[float, int]:
     """The modes' entry check: epsilon for the report (an int as given, else its float) and tail_start."""
+    _require_types(("c", c, Capacity), ("seq", seq, FnSequence))
     _require_same_space(c, seq)
     value = _float(epsilon, "epsilon")
     if not 0.0 <= value < math.inf:
@@ -433,6 +435,7 @@ def random_strict_sequence(
     empty set, so emptying the chain is what makes the strict hypothesis hold
     exactly rather than approximately.
     """
+    _require_types(("space", space, FiniteSpace), ("rng", rng, np.random.Generator))
     if _checked_int(horizon, "horizon") < 1:
         raise DomainError(f"horizon must be >= 1, got {horizon}")
     vanish_at = default_tail_start(horizon) if vanish_at is None else _checked_int(vanish_at, "vanish_at")

@@ -105,6 +105,18 @@ def _checked_int(value, name: str) -> int:
     return int(value)
 
 
+def _require_types(*expected: tuple[str, object, type]) -> None:
+    """Raise a ``DomainError`` for the first ``(name, value, cls)`` whose value is not a ``cls``, naming both types.
+
+    The entry points that take library objects call it up front, or, where
+    a call must stay cheap, only once an attribute read has raised
+    ``AttributeError``, which they raise again if every argument has its type.
+    """
+    for name, value, cls in expected:
+        if not isinstance(value, cls):
+            raise DomainError(f"{name} must be a {cls.__name__}, got {type(value).__name__}") from None
+
+
 def _float_array(values, name: str, *, copy: bool = False) -> np.ndarray:
     """``values``, a number or an array of them, as float64, or a ``DomainError`` naming ``name``.
 

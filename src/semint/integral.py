@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from semint.capacity import Capacity
-from semint.errors import DomainError, _checked_int
+from semint.errors import DomainError, _checked_int, _require_types
 from semint.measurable import MeasurableFn, _level_masks, _require_same_space
 from semint.semicopula import _SCALAR_FORMULAS, MIN, PRODUCT, Semicopula
 
@@ -131,19 +131,24 @@ def integrate(s: Semicopula, c: Capacity, f: MeasurableFn) -> IntegralResult:
     [0,1], checked when ``f`` and ``c`` were built: a builtin's formula is
     called directly on the two floats.
     """
-    _require_same_space(c, f)
-    levels, masks = f._chain or _level_chains(f.values[None])[0]
+    try:
+        _require_same_space(c, f)
+        levels, masks = f._chain or _level_chains(f.values[None])[0]
+        formula = _SCALAR_FORMULAS.get(s.kind)
+        table = c.table
+    except AttributeError:  # an argument of another type: named here, so that the valid call pays nothing
+        _require_types(("s", s, Semicopula), ("c", c, Capacity), ("f", f, MeasurableFn))
+        raise
     best = -1.0
     best_t = 0.0
-    formula = _SCALAR_FORMULAS.get(s.kind)
     if formula is None:  # a table: one array evaluation over every level, then the same walk without the stop
-        values = s._evaluate_array(np.frombuffer(levels), c.table[np.frombuffer(masks, dtype=np.int64)])
+        values = s._evaluate_array(np.frombuffer(levels), table[np.frombuffer(masks, dtype=np.int64)])
         for v, val in zip(levels, values.tolist()):
             if val >= best:
                 best = val
                 best_t = v
         return IntegralResult(float(best), float(best_t), len(levels))
-    item = c.table.item
+    item = table.item
     for v, level in zip(levels, masks):
         if v < best:  # S(v, m) <= v exactly for a builtin, see _SCALAR_FORMULAS
             break
@@ -168,6 +173,7 @@ def _grid_profile(s: Semicopula, c: Capacity, f: MeasurableFn, grid_points: int)
     running best only when strictly larger, so the result is the first
     attaining grid point, as one ``np.argmax`` over the whole profile gives.
     """
+    _require_types(("s", s, Semicopula), ("c", c, Capacity), ("f", f, MeasurableFn))
     _require_same_space(c, f)
     if _checked_int(grid_points, "grid_points") < 2:
         raise DomainError(f"grid_points must be >= 2, got {grid_points}")

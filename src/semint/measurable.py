@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from semint.capacity import Capacity, FiniteSpace
-from semint.errors import DomainError, SpaceMismatchError, _float, _kept_array
+from semint.errors import DomainError, SpaceMismatchError, _float, _kept_array, _require_types
 
 # the smallest positive double: on values >= 0, {v > 0} is the level set {v >= _SMALLEST_POSITIVE}
 _SMALLEST_POSITIVE = float(np.nextafter(0.0, 1.0))
@@ -45,9 +45,14 @@ class MeasurableFn:
 
     def __post_init__(self) -> None:
         values = _kept_array(self.values, "function values")
-        if values.shape != (self.space.size,):
+        try:
+            size = self.space.size
+        except AttributeError:  # named here, so that the terms of a long sequence pay nothing
+            _require_types(("space", self.space, FiniteSpace))
+            raise
+        if values.shape != (size,):
             raise DomainError(
-                f"function over a {self.space.size}-point space needs {self.space.size} "
+                f"function over a {size}-point space needs {size} "
                 f"values, got shape {values.shape}"
             )
         # at most 24 values: a Python loop beats numpy's per-call overhead; NaN fails both comparisons
@@ -68,10 +73,12 @@ class MeasurableFn:
 
     @classmethod
     def constant(cls, space: FiniteSpace, value: float) -> "MeasurableFn":
+        _require_types(("space", space, FiniteSpace))
         return cls(space, np.full(space.size, _float(value, "function value")))
 
     @classmethod
     def indicator(cls, space: FiniteSpace, mask: int) -> "MeasurableFn":
+        _require_types(("space", space, FiniteSpace))
         mask = space.check_mask(mask)
         return cls(space, [1.0 if mask >> i & 1 else 0.0 for i in range(space.size)])
 
@@ -145,6 +152,7 @@ def _level_masks(values: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
 
 def level_set(f: MeasurableFn, t: float) -> int:
     """Mask of ``{i : f(i) >= t}``, exact comparison."""
+    _require_types(("f", f, MeasurableFn))
     value = _float(t, "threshold")
     if not 0.0 <= value <= 1.0:
         raise DomainError(f"threshold {t!r} outside [0,1]")
@@ -153,21 +161,28 @@ def level_set(f: MeasurableFn, t: float) -> int:
 
 def strict_support(f: MeasurableFn) -> int:
     """Mask of ``{i : f(i) > 0}``."""
+    _require_types(("f", f, MeasurableFn))
     return int(_level_masks(f.values, [_SMALLEST_POSITIVE])[0])
 
 
 def residual(f: MeasurableFn, g: MeasurableFn) -> MeasurableFn:
     """Pointwise absolute difference |f - g|."""
-    _require_same_space(f, g)
-    return MeasurableFn._adopt(f.space, np.abs(f.values - g.values))  # in [0,1], since f and g are
+    try:
+        _require_same_space(f, g)
+        return MeasurableFn._adopt(f.space, np.abs(f.values - g.values))  # in [0,1], since f and g are
+    except AttributeError:  # an argument of another type: named here, so that a sequence's residuals pay nothing
+        _require_types(("f", f, MeasurableFn), ("g", g, MeasurableFn))
+        raise
 
 
 def survival(c: Capacity, f: MeasurableFn, t: float) -> float:
     """Capacity of the level set at t, i.e. mu({f >= t}); non-increasing in t."""
+    _require_types(("c", c, Capacity), ("f", f, MeasurableFn))
     _require_same_space(c, f)
     return c.measure(level_set(f, t))
 
 
 def distinct_values(f: MeasurableFn) -> list[float]:
     """Sorted deduplicated list of the values f attains."""
+    _require_types(("f", f, MeasurableFn))
     return sorted(set(f.values.tolist()))

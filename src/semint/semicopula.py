@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from semint.errors import DomainError, _checked_int, _float_array, _kept_array
+from semint.errors import DomainError, _checked_int, _float_array, _kept_array, _require_types
 
 AXIOM_TOL = 1e-12
 
@@ -253,6 +253,7 @@ def validate_semicopula(s: Semicopula, check_resolution: int) -> ValidationRepor
     monotonicity in each coordinate, the neutral element on both sides, and
     the derived consequences S(a,b) <= min(a,b) and S(x,0) = 0 = S(0,x).
     """
+    _require_types(("s", s, Semicopula))
     if _checked_int(check_resolution, "check_resolution") < 2:
         raise DomainError(f"check_resolution must be >= 2, got {check_resolution}")
     axis = np.linspace(0.0, 1.0, check_resolution + 1)

@@ -421,13 +421,13 @@ def test_distortion_runs_no_table_scan(monkeypatch):
     import semint.capacity as capacity_module
 
     scans = []
-    real = capacity_module._faults
+    real = capacity_module._is_capacity
 
     def counted(table, points):
         scans.append(table.size)
         return real(table, points)
 
-    monkeypatch.setattr(capacity_module, "_faults", counted)
+    monkeypatch.setattr(capacity_module, "_is_capacity", counted)
     space = FiniteSpace(6)
     base = random_capacity(space, np.random.default_rng(1))
     assert scans == [64]
@@ -929,3 +929,108 @@ def test_split_scans_keep_the_peak_memory_bounds(monkeypatch):
     table = random_capacity(space, np.random.default_rng(9)).table
     assert peak_bytes(lambda: random_capacity(space, np.random.default_rng(5))) < 1.75 * table.nbytes
     assert peak_bytes(lambda: validate_table(space, table)) < table.nbytes // 2
+
+
+def builder_results(n: int, seed: int) -> list[bytes]:
+    """The additive, possibility and distortion builders' tables, both doublings and the interpolation, as bytes.
+
+    The weights, the base table and the samples hold ``-0.0`` entries, whose sign every path must keep.
+    """
+    rng = np.random.default_rng([n, seed])
+    space = FiniteSpace(n)
+    threads = threading.active_count()
+    w = rng.random(n)
+    w[rng.random(n) < 0.3] = -0.0
+    w[rng.integers(n)] = 1.0
+    base = np.sort(rng.random(1 << n))  # ascending in mask order is monotone
+    base[: int(rng.integers(1, base.size))] = -0.0
+    base[-1] = 1.0
+    samples = np.sort(rng.choice([0.0, 0.25, 0.5, 1.0, rng.random()], 9))
+    samples[0], samples[-1] = -0.0, 1.0
+    out = [
+        Capacity.from_additive(space, w / w.sum()).table,
+        Capacity.from_possibility(space, w).table,
+        capacity_module._doubling_table(w, np.add),
+        capacity_module._doubling_table(w, np.maximum),
+        _interp_monotone(samples, base),
+        Capacity.from_distortion(Capacity.from_table(space, base), samples).table,
+    ]
+    assert threading.active_count() == threads  # no thread outlives a call
+    return [table.tobytes() for table in out]
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_split_builders_match_the_serial_builders_bit_for_bit(monkeypatch, n):
+    serial = [builder_results(n, seed) for seed in (0, 1, 2)]
+    split_everywhere(monkeypatch)
+    assert [builder_results(n, seed) for seed in (0, 1, 2)] == serial
+
+
+def test_builders_past_the_split_size_match_one_cpu_bit_for_bit(monkeypatch):
+    n = 20  # the interpolation, the normalization and the last doubling step reach _SPLIT_ENTRIES
+    assert 1 << (n - 1) >= capacity_module._SPLIT_ENTRIES
+    monkeypatch.setattr(capacity_module, "_TWO_CPUS", True)
+    split = builder_results(n, 20)
+    monkeypatch.setattr(capacity_module, "_TWO_CPUS", False)
+    assert split == builder_results(n, 20)
+
+
+PLANTS = ("nan", "inf", "-inf", "below", "above", "empty", "full", "doubled", "drop-low", "drop-high", "drop-top")
+
+
+@st.composite
+def planted_faults(draw):
+    """A random capacity table with 0-3 planted faults of the kinds in ``PLANTS``, and its point count."""
+    n = draw(st.integers(1, 8))
+    table = random_capacity(FiniteSpace(n), np.random.default_rng(draw(st.integers(0, 2**32 - 1)))).table.copy()
+    top = table.size // 2
+    for plant in draw(st.lists(st.sampled_from(PLANTS), max_size=3)):
+        mask = draw(st.integers(0, table.size - 1))
+        low, high = mask % top, mask % top | top  # the same mask without and with the top point
+        if plant in ("nan", "inf", "-inf"):
+            table[mask] = float(plant)
+        elif plant == "below":
+            table[mask] = -draw(st.sampled_from([5e-324, 2**-52, 0.5]))
+        elif plant == "above":
+            table[mask] = 1.0 + draw(st.sampled_from([2**-52, 0.5]))
+        elif plant == "empty":
+            table[0] = draw(st.sampled_from([5e-324, 0.5, -0.0]))  # -0.0 is a valid empty-set value
+        elif plant == "full":
+            table[-1] = draw(st.sampled_from([float(np.nextafter(1.0, 0.0)), 2.0]))
+        elif plant == "doubled":
+            table *= 2.0  # monotone, in [0,2]
+        elif plant == "drop-low":  # raised within the lower half, above its supersets
+            table[low] = draw(st.sampled_from([1.0, table[low] + 0.25]))
+        elif plant == "drop-high":  # cut within the upper half, below its subsets
+            table[high] = draw(st.sampled_from([0.0, table[high] / 2]))
+        else:  # one ulp above its superset across the top point
+            table[low] = np.nextafter(table[high], 2.0)
+    return n, table
+
+
+def raised(call):
+    """The error ``call`` raises, as plain values, or None."""
+    try:
+        call()
+    except (DomainError, NotNormalizedError, NotMonotoneError) as err:
+        return type(err), str(err), getattr(err, "mask", None), getattr(err, "element", None)
+    return None
+
+
+@given(planted_faults(), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_validation_lists_and_raises_the_full_diagnosis_for_every_planted_fault(planted, split):
+    n, table = planted
+    space = FiniteSpace(n)
+    want = [
+        capacity_module._violation(table, kind, mask, element)
+        for kind, masks, element in capacity_module._faults(table, n)
+        for mask in masks.tolist()
+    ]
+    want_error = raised(lambda: capacity_module._raise_at_first_fault(table, capacity_module._faults(table, n)))
+    with pytest.MonkeyPatch.context() as patch:
+        if split:
+            split_everywhere(patch)
+        assert capacity_module._is_capacity(table, n) == (want == [])
+        assert validate_table(space, table) == want
+        assert raised(lambda: Capacity.from_table(space, table)) == want_error

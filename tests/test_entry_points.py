@@ -18,8 +18,21 @@ from semint import (
     check_in_mean,
     check_strict,
     counterexample_constant,
+    distinct_values,
+    integrate,
+    integrate_grid_oracle,
     level_set,
+    random_audit,
+    random_capacity,
+    random_strict_sequence,
+    residual,
+    strict_support,
     survival,
+    sugeno,
+    theorem1_audit,
+    theorem2_audit,
+    validate_semicopula,
+    validate_table,
 )
 
 SPACE = FiniteSpace(2)
@@ -96,3 +109,66 @@ def test_a_scalar_that_is_not_a_number_is_named_as_one(call, message):
     with pytest.raises(DomainError) as err:
         call()
     assert str(err.value) == message
+
+
+RNG = np.random.default_rng(0)
+TABLE_VALUES = [0.0, 0.5, 0.5, 1.0]
+
+# entry point -> (call with one library object replaced by a value of another type, the DomainError's message)
+WRONG_OBJECTS = {
+    "integrate-f-list": (lambda: integrate(MIN, UNIFORM, [0.5, 0.25]), "f must be a MeasurableFn, got list"),
+    "integrate-f-capacity": (lambda: integrate(MIN, UNIFORM, UNIFORM), "f must be a MeasurableFn, got Capacity"),
+    "integrate-f-sequence": (lambda: integrate(MIN, UNIFORM, SEQ), "f must be a MeasurableFn, got FnSequence"),
+    "integrate-s": (lambda: integrate("min", UNIFORM, F), "s must be a Semicopula, got str"),
+    "integrate-c": (lambda: integrate(MIN, F, F), "c must be a Capacity, got MeasurableFn"),
+    "sugeno-f": (lambda: sugeno(UNIFORM, [0.5, 0.25]), "f must be a MeasurableFn, got list"),
+    "integrate_grid_oracle-f": (
+        lambda: integrate_grid_oracle(MIN, UNIFORM, [0.5, 0.25], 10),
+        "f must be a MeasurableFn, got list",
+    ),
+    "integrate_grid_oracle-s": (lambda: integrate_grid_oracle("min", UNIFORM, F, 10), "s must be a Semicopula, got str"),
+    "residual-f": (lambda: residual([0.5, 0.25], F), "f must be a MeasurableFn, got list"),
+    "residual-g": (lambda: residual(F, SEQ), "g must be a MeasurableFn, got FnSequence"),
+    "level_set": (lambda: level_set([0.5, 0.25], 0.5), "f must be a MeasurableFn, got list"),
+    "survival-f": (lambda: survival(UNIFORM, [0.5, 0.25], 0.5), "f must be a MeasurableFn, got list"),
+    "survival-c": (lambda: survival(TABLE_VALUES, F, 0.5), "c must be a Capacity, got list"),
+    "strict_support": (lambda: strict_support([0.5, 0.25]), "f must be a MeasurableFn, got list"),
+    "distinct_values": (lambda: distinct_values([0.5, 0.25]), "f must be a MeasurableFn, got list"),
+    "check_strict-c": (lambda: check_strict(TABLE_VALUES, SEQ), "c must be a Capacity, got list"),
+    "check_in_capacity-seq": (lambda: check_in_capacity(UNIFORM, (F,)), "seq must be a FnSequence, got tuple"),
+    "check_in_mean-s": (lambda: check_in_mean("min", UNIFORM, SEQ), "s must be a Semicopula, got str"),
+    "theorem1_audit-c": (lambda: theorem1_audit(TABLE_VALUES, SEQ), "c must be a Capacity, got list"),
+    "theorem2_audit-s": (lambda: theorem2_audit("min", UNIFORM, SEQ), "s must be a Semicopula, got str"),
+    "random_audit-s": (lambda: random_audit(SPACE, ["min"], 1, 1), "s must be a Semicopula, got str"),
+    "validate_semicopula-s": (lambda: validate_semicopula("min", 10), "s must be a Semicopula, got str"),
+    "from_distortion-base": (
+        lambda: Capacity.from_distortion(TABLE_VALUES, [0.0, 1.0]),
+        "base must be a Capacity, got list",
+    ),
+    "random_capacity-rng": (lambda: random_capacity(SPACE, 3), "rng must be a Generator, got int"),
+    "random_capacity-space": (lambda: random_capacity(2, RNG), "space must be a FiniteSpace, got int"),
+    "random_strict_sequence-rng": (
+        lambda: random_strict_sequence(SPACE, UNIFORM, 4, 3),
+        "rng must be a Generator, got int",
+    ),
+    "Capacity-space": (lambda: Capacity(2, TABLE_VALUES), "space must be a FiniteSpace, got int"),
+    "validate_table-space": (lambda: validate_table(2, TABLE_VALUES), "space must be a FiniteSpace, got int"),
+    "from_additive-space": (lambda: Capacity.from_additive(2, [0.5, 0.5]), "space must be a FiniteSpace, got int"),
+    "from_possibility-space": (
+        lambda: Capacity.from_possibility(2, [1.0, 0.5]),
+        "space must be a FiniteSpace, got int",
+    ),
+    "MeasurableFn-space": (lambda: MeasurableFn(2, [0.5, 0.5]), "space must be a FiniteSpace, got int"),
+    "MeasurableFn.constant-space": (lambda: MeasurableFn.constant(2, 0.5), "space must be a FiniteSpace, got int"),
+    "MeasurableFn.indicator-space": (lambda: MeasurableFn.indicator(2, 1), "space must be a FiniteSpace, got int"),
+    "FnSequence-space": (lambda: FnSequence(2, (F,), F), "space must be a FiniteSpace, got int"),
+}
+
+
+@pytest.mark.parametrize("call, message", WRONG_OBJECTS.values(), ids=WRONG_OBJECTS.keys())
+def test_a_library_object_of_another_type_is_a_domain_error_naming_the_expected_type(call, message):
+    # pytest.raises lets any other exception through, so a bare AttributeError fails the test
+    with pytest.raises(DomainError) as err:
+        call()
+    assert str(err.value) == message
+    assert err.value.__suppress_context__  # no AttributeError shown behind the named error
