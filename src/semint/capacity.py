@@ -150,10 +150,7 @@ class FiniteSpace:
     size: int
 
     def __post_init__(self) -> None:
-        size = _checked_int(self.size, "space size")
-        if not 1 <= size <= MAX_POINTS:
-            raise DomainError(f"space size must be in 1..{MAX_POINTS}, got {size}")
-        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "size", _checked_int(self.size, "space size", 1, MAX_POINTS))
 
     @property
     def full_mask(self) -> int:

@@ -65,11 +65,20 @@ MODE_IN_MEAN = "in-mean"
 
 def default_t_grid(points: int = DEFAULT_T_GRID_SIZE) -> np.ndarray:
     """Log-spaced thresholds over [0.01, 1], dense near the small end."""
-    return np.logspace(-2.0, 0.0, _checked_int(points, "points"))
+    return np.logspace(-2.0, 0.0, _checked_int(points, "points", 0))
 
 
 def default_tail_start(horizon: int) -> int:
-    return (horizon + 1) // 2
+    return (_checked_int(horizon, "horizon", 1) + 1) // 2
+
+
+def _as_tuple(values, name: str, item: type) -> tuple:
+    """``values``, any iterable, as a tuple, else a ``DomainError`` naming ``name`` and the ``item`` type it holds."""
+    try:
+        items = iter(values)  # only this call is guarded: a TypeError a generator raises is not renamed
+    except TypeError:
+        raise DomainError(f"{name} must be an iterable of {item.__name__}, got {type(values).__name__}") from None
+    return tuple(items)
 
 
 # residual rows FnSequence.__post_init__ passes to _level_chains at once: a few 128 KiB temporaries at n = 16.
@@ -102,7 +111,7 @@ class FnSequence:
         ``_level_chains`` over ``_CHAIN_BLOCK_ROWS`` rows at a time.  Only
         objects built here are written to.
         """
-        object.__setattr__(self, "terms", tuple(self.terms))
+        object.__setattr__(self, "terms", _as_tuple(self.terms, "terms", MeasurableFn))
         if not self.terms:
             raise DomainError("sequence needs at least one term")
         _require_types(("space", self.space, FiniteSpace))
@@ -172,12 +181,7 @@ class ConvergenceReport:
 
 def _tail_start(horizon: int, tail_start: int | None) -> int:
     """``tail_start``, defaulted, and checked to lie in 1..horizon."""
-    if tail_start is None:
-        return default_tail_start(horizon)
-    tail_start = _checked_int(tail_start, "tail_start")
-    if not 1 <= tail_start <= horizon:
-        raise DomainError(f"tail_start must be in 1..{horizon}, got {tail_start}")
-    return tail_start
+    return default_tail_start(horizon) if tail_start is None else _checked_int(tail_start, "tail_start", 1, horizon)
 
 
 def _checked_entry(c: Capacity, seq: FnSequence, epsilon, tail_start: int | None) -> tuple[float, int]:
@@ -394,8 +398,7 @@ def counterexample_constant(
     be in (0, 1] and strictly decreasing over the horizon, the finite stand-in
     for "positive and vanishing".
     """
-    if _checked_int(horizon, "horizon") < 1:
-        raise DomainError(f"horizon must be >= 1, got {horizon}")
+    horizon = _checked_int(horizon, "horizon", 1)
     if callable(rate):
         fn = rate
         label = getattr(rate, "__name__", "callable")
@@ -436,8 +439,7 @@ def random_strict_sequence(
     exactly rather than approximately.
     """
     _require_types(("space", space, FiniteSpace), ("rng", rng, np.random.Generator))
-    if _checked_int(horizon, "horizon") < 1:
-        raise DomainError(f"horizon must be >= 1, got {horizon}")
+    horizon = _checked_int(horizon, "horizon", 1)
     vanish_at = default_tail_start(horizon) if vanish_at is None else _checked_int(vanish_at, "vanish_at")
     limit_values = rng.random(space.size)
     limit = MeasurableFn(space, limit_values)
@@ -470,11 +472,12 @@ def random_audit(
     hypothesis report, computed once.  Used by the CLI ``audit`` subcommand and the
     acceptance suite; a fixed seed makes the whole batch reproducible.
     """
-    if _checked_int(cases, "cases") < 0:
-        raise DomainError(f"cases must be >= 0, got {cases}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_checked_int(seed, "seed", 0))
+    horizon = _checked_int(horizon, "horizon", 1)
+    semicopulas = _as_tuple(semicopulas, "semicopulas", Semicopula)
+    _require_types(*(("s", s, Semicopula) for s in semicopulas))
     out = []
-    for _ in range(cases):
+    for _ in range(_checked_int(cases, "cases", 0)):
         c = random_capacity(space, rng)
         seq = random_strict_sequence(space, c, horizon, rng)
         reports = [theorem1_audit(c, seq)]

@@ -94,15 +94,19 @@ class SchemaError(SemintError):
         self.location = location or "/"
 
 
-def _checked_int(value, name: str) -> int:
-    """``value`` as an int if it is an int or a numpy integer, else a ``DomainError`` naming ``name``.
+def _checked_int(value, name: str, low: int | None = None, high: int | None = None) -> int:
+    """``value`` as an int if it is an int or a numpy integer in ``low..high``, else a ``DomainError`` naming ``name``.
 
     ``bool`` is refused although it subclasses int: ``True`` as a size or a
-    position is a mistake, not the number 1.
+    position is a mistake, not the number 1.  The bounds are inclusive, and ``high`` comes with ``low``.
     """
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise DomainError(f"{name} must be an int, got {type(value).__name__}")
-    return int(value)
+    value = int(value)
+    if low is not None and value < low or high is not None and value > high:
+        bound = f">= {low}" if high is None else f"in {low}..{high}"
+        raise DomainError(f"{name} must be {bound}, got {value}")
+    return value
 
 
 def _require_types(*expected: tuple[str, object, type]) -> None:

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from semint.capacity import Capacity
-from semint.errors import DomainError, _checked_int, _require_types
+from semint.errors import _checked_int, _require_types
 from semint.measurable import MeasurableFn, _level_masks, _require_same_space
 from semint.semicopula import _SCALAR_FORMULAS, MIN, PRODUCT, Semicopula
 
@@ -175,9 +175,7 @@ def _grid_profile(s: Semicopula, c: Capacity, f: MeasurableFn, grid_points: int)
     """
     _require_types(("s", s, Semicopula), ("c", c, Capacity), ("f", f, MeasurableFn))
     _require_same_space(c, f)
-    if _checked_int(grid_points, "grid_points") < 2:
-        raise DomainError(f"grid_points must be >= 2, got {grid_points}")
-    t = np.linspace(0.0, 1.0, grid_points)
+    t = np.linspace(0.0, 1.0, _checked_int(grid_points, "grid_points", 2))
     best = best_t = None
     for start in range(0, t.size, _ORACLE_CHUNK):
         chunk = t[start : start + _ORACLE_CHUNK]

@@ -109,9 +109,7 @@ class Semicopula:
     @classmethod
     def from_function(cls, fn: Callable[[float, float], float], resolution: int) -> "Semicopula":
         """Sample a candidate aggregation onto a lattice table."""
-        if _checked_int(resolution, "resolution") < 1:
-            raise DomainError("resolution must be >= 1")
-        axis = np.linspace(0.0, 1.0, resolution + 1)
+        axis = np.linspace(0.0, 1.0, _checked_int(resolution, "resolution", 1) + 1)
         return cls.from_grid([[fn(a, b) for b in axis] for a in axis])
 
     def evaluate(self, a, b):
@@ -242,7 +240,7 @@ class ValidationReport:
             "resolution": self.resolution,
             "passed": self.passed,
             "violation_count": self.violation_count,
-            "violations": [v.to_json_dict() for v in self.violations[:max_listed]],
+            "violations": [v.to_json_dict() for v in self.violations[: _checked_int(max_listed, "max_listed", 0)]],
         }
 
 
@@ -254,8 +252,7 @@ def validate_semicopula(s: Semicopula, check_resolution: int) -> ValidationRepor
     the derived consequences S(a,b) <= min(a,b) and S(x,0) = 0 = S(0,x).
     """
     _require_types(("s", s, Semicopula))
-    if _checked_int(check_resolution, "check_resolution") < 2:
-        raise DomainError(f"check_resolution must be >= 2, got {check_resolution}")
+    check_resolution = _checked_int(check_resolution, "check_resolution", 2)
     axis = np.linspace(0.0, 1.0, check_resolution + 1)
     grid_a, grid_b = np.meshgrid(axis, axis, indexing="ij")
     values = s._evaluate_array(grid_a, grid_b)

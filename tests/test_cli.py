@@ -414,6 +414,20 @@ def test_audit_negative_cases_exits_two():
     assert error_of(proc)["code"] == "domain"
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("--cases", "1", "--seed", "-1"), "seed must be >= 0, got -1"),
+        (("--cases", "0", "--horizon", "0"), "horizon must be >= 1, got 0"),
+    ],
+    ids=["seed", "horizon-without-cases"],
+)
+def test_audit_refuses_a_bad_seed_or_horizon_with_a_domain_error(args, message):
+    proc = run_cli("audit", *args)
+    assert proc.returncode == 2 and proc.stdout == b""
+    assert error_of(proc) == {"code": "domain", "message": message, "location": ""}
+
+
 def test_audit_clean_run(tmp_path):
     csv_path = tmp_path / "audit.csv"
     proc = run_cli("audit", "--cases", "20", "--seed", "1", "--csv", str(csv_path))

@@ -1,3 +1,4 @@
+import inspect
 import math
 import tracemalloc
 
@@ -37,6 +38,7 @@ from semint import (
     theorem2_audit,
     validate_semicopula,
 )
+import semint
 from semint import convergence as conv
 from semint import integral
 
@@ -444,7 +446,59 @@ INT_ARGUMENTS = {
     ),
     "measure": ("subset mask", lambda x: UNIFORM.measure(x)),
     "FiniteSpace": ("space size", lambda x: FiniteSpace(x)),
+    "random_audit-seed": ("seed", lambda x: random_audit(SPACE, BUILTINS, 1, x)),
+    "default_tail_start": ("horizon", lambda x: default_tail_start(x)),
+    "MeasurableFn.indicator": ("subset mask", lambda x: MeasurableFn.indicator(SPACE, x)),
+    "ValidationReport.to_json_dict": ("max_listed", lambda x: validate_semicopula(MIN, 2).to_json_dict(x)),
+    "theorem2_audit": ("tail_start", lambda x: theorem2_audit(MIN, UNIFORM, constant_seq(10), tail_start=x)),
+    "FiniteSpace.check_mask": ("subset mask", lambda x: SPACE.check_mask(x)),
 }
+
+
+def exported_int_parameters() -> set[str]:
+    """``function(parameter)`` for each parameter annotated ``int`` or ``int | None`` in semint's exported callables.
+
+    Exported functions and the public methods of exported classes count; a
+    dataclass's generated ``__init__`` (its fields) and the constructors of
+    the exceptions semint raises do not.
+    """
+    found = set()
+    for export in semint.__all__:
+        obj = getattr(semint, export)
+        if inspect.isfunction(obj):
+            functions = [(export, obj)]
+        elif inspect.isclass(obj) and not issubclass(obj, BaseException):
+            members = ((f"{export}.{k}", getattr(v, "__func__", v)) for k, v in vars(obj).items() if k[0] != "_")
+            functions = [(name, f) for name, f in members if inspect.isfunction(f)]
+        else:
+            continue
+        for name, f in functions:
+            for p in inspect.signature(f).parameters.values():
+                if p.annotation in ("int", "int | None", int, int | None):
+                    found.add(f"{name}({p.name})")
+    return found
+
+
+def covered_by(key: str, parameter: str) -> bool:
+    """Whether ``INT_ARGUMENTS[key]`` covers ``parameter``, a ``function(name)``.
+
+    A key is a function, by its exported name or its last dotted part, and
+    then ``-name``, or nothing when the function has one int parameter.
+    """
+    function, name = parameter[:-1].split("(")
+    key_function, _, key_name = key.partition("-")
+    if key_function not in (function, function.rsplit(".", 1)[-1]):
+        return False
+    return key_name == name or not key_name and sum(p.startswith(f"{function}(") for p in EXPORTED_INTS) == 1
+
+
+EXPORTED_INTS = exported_int_parameters()
+
+
+def test_every_exported_int_parameter_has_an_int_arguments_entry():
+    assert {"random_audit(seed)", "ValidationReport.to_json_dict(max_listed)", "Capacity.measure(mask)"} <= EXPORTED_INTS
+    missing = {p for p in EXPORTED_INTS if not any(covered_by(key, p) for key in INT_ARGUMENTS)}
+    assert not missing, f"no INT_ARGUMENTS entry for {sorted(missing)}"
 
 
 @pytest.mark.parametrize("bad", [2.5, True, "3"])
@@ -453,6 +507,57 @@ def test_size_and_position_arguments_must_be_ints(name, call, bad):
     with pytest.raises(DomainError, match=f"^{name} must be an int, got {type(bad).__name__}$"):
         call(bad)
     call(np.int64(3))  # numpy integers are accepted
+
+
+def failing_report():
+    return validate_semicopula(Semicopula.from_function(max, 2), 2)
+
+
+# bounded argument -> (call with the argument set to x, a value at the bound, the value one past it, its message)
+INT_BOUNDS = {
+    "FiniteSpace-low": (FiniteSpace, 1, 0, "space size must be in 1..24, got 0"),
+    "FiniteSpace-high": (FiniteSpace, 24, 25, "space size must be in 1..24, got 25"),
+    "tail_start-low": (INT_ARGUMENTS["check_strict"][1], 1, 0, "tail_start must be in 1..10, got 0"),
+    "tail_start-high": (INT_ARGUMENTS["check_strict"][1], 10, 11, "tail_start must be in 1..10, got 11"),
+    "counterexample_constant": (INT_ARGUMENTS["counterexample_constant"][1], 1, 0, "horizon must be >= 1, got 0"),
+    "random_strict_sequence": (INT_ARGUMENTS["random_strict_sequence-horizon"][1], 1, 0, "horizon must be >= 1, got 0"),
+    "random_audit-cases": (lambda x: random_audit(SPACE, BUILTINS, x, 1), 0, -1, "cases must be >= 0, got -1"),
+    "random_audit-seed": (lambda x: random_audit(SPACE, BUILTINS, 1, x), 0, -1, "seed must be >= 0, got -1"),
+    "random_audit-horizon": (
+        lambda x: random_audit(SPACE, BUILTINS, 1, 1, horizon=x), 1, 0, "horizon must be >= 1, got 0"
+    ),
+    "default_t_grid": (default_t_grid, 0, -1, "points must be >= 0, got -1"),
+    "default_tail_start": (default_tail_start, 1, 0, "horizon must be >= 1, got 0"),
+    "integrate_grid_oracle": (
+        lambda x: integrate_grid_oracle(MIN, UNIFORM, MeasurableFn.constant(SPACE, 0.5), x), 2, 1,
+        "grid_points must be >= 2, got 1",
+    ),
+    "from_function": (lambda x: Semicopula.from_function(min, x), 1, 0, "resolution must be >= 1, got 0"),
+    "validate_semicopula": (lambda x: validate_semicopula(MIN, x), 2, 1, "check_resolution must be >= 2, got 1"),
+    "to_json_dict": (lambda x: failing_report().to_json_dict(x), 0, -1, "max_listed must be >= 0, got -1"),
+    "check_mask-low": (SPACE.check_mask, 0, -1, "mask -0x1 has bits outside a 4-point space"),
+    "check_mask-high": (SPACE.check_mask, 15, 16, "mask 0x10 has bits outside a 4-point space"),
+}
+
+
+@pytest.mark.parametrize("call, at_bound, past, message", INT_BOUNDS.values(), ids=INT_BOUNDS.keys())
+def test_a_bounded_int_is_accepted_at_its_bound_and_refused_one_past_it(call, at_bound, past, message):
+    call(at_bound)
+    with pytest.raises(DomainError) as err:
+        call(past)
+    assert str(err.value) == message
+
+
+def test_the_smallest_bounds_give_empty_results():
+    assert default_t_grid(0).size == 0
+    assert random_audit(SPACE, BUILTINS, 0, 0) == []
+    report = failing_report()
+    assert report.violations and report.to_json_dict(0)["violations"] == []
+    assert len(report.to_json_dict(1)["violations"]) == 1
+
+
+def test_random_audit_reads_a_generator_of_semicopulas_for_every_case():
+    assert random_audit(SPACE, (s for s in BUILTINS), 3, 5) == random_audit(SPACE, BUILTINS, 3, 5)
 
 
 def test_a_numpy_tail_start_is_reported_as_an_int():

@@ -140,6 +140,15 @@ WRONG_OBJECTS = {
     "theorem1_audit-c": (lambda: theorem1_audit(TABLE_VALUES, SEQ), "c must be a Capacity, got list"),
     "theorem2_audit-s": (lambda: theorem2_audit("min", UNIFORM, SEQ), "s must be a Semicopula, got str"),
     "random_audit-s": (lambda: random_audit(SPACE, ["min"], 1, 1), "s must be a Semicopula, got str"),
+    "random_audit-s-no-cases": (lambda: random_audit(SPACE, ["min"], 0, 1), "s must be a Semicopula, got str"),
+    "random_audit-semicopulas": (
+        lambda: random_audit(SPACE, MIN, 1, 1),
+        "semicopulas must be an iterable of Semicopula, got Semicopula",
+    ),
+    "random_audit-semicopulas-no-cases": (
+        lambda: random_audit(SPACE, MIN, 0, 1),
+        "semicopulas must be an iterable of Semicopula, got Semicopula",
+    ),
     "validate_semicopula-s": (lambda: validate_semicopula("min", 10), "s must be a Semicopula, got str"),
     "from_distortion-base": (
         lambda: Capacity.from_distortion(TABLE_VALUES, [0.0, 1.0]),
@@ -162,6 +171,7 @@ WRONG_OBJECTS = {
     "MeasurableFn.constant-space": (lambda: MeasurableFn.constant(2, 0.5), "space must be a FiniteSpace, got int"),
     "MeasurableFn.indicator-space": (lambda: MeasurableFn.indicator(2, 1), "space must be a FiniteSpace, got int"),
     "FnSequence-space": (lambda: FnSequence(2, (F,), F), "space must be a FiniteSpace, got int"),
+    "FnSequence-terms": (lambda: FnSequence(SPACE, F, F), "terms must be an iterable of MeasurableFn, got MeasurableFn"),
 }
 
 
