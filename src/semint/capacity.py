@@ -26,23 +26,21 @@ mask ``A`` and every point ``i`` outside ``A``, require
 equivalent to checking every subset pair, at O(n * 2**n) instead of O(4**n)
 cost.  Comparisons are exact; every constructor below is arranged so that its
 floating-point output is monotone without tolerance.  ``validate_table``
-accepts a table by one ``lo <= hi`` sweep and its two endpoints, which imply
-the [0,1] range (the proof is in its docstring); only a table that fails the
-sweep gets the full diagnosis, ``_faults``.
+runs one sweep of this scan, ``_faults``, that both accepts a capacity and
+lists every violation of any other table.
 
 Every full-table pass runs on two threads, through ``_in_halves``.  The
 random builder's envelope splits the table by its top point: passes
 ``0 .. n-2`` pair masks within one half, so each thread takes every one of
 them on its own half, and the top pass, which pairs the halves, is then
-split along its offsets.  ``validate_table``'s sweep and ``_faults`` split
-each pass's comparison into the two halves of one bool array; in
-``_faults`` one ``flatnonzero`` over the whole array reads the faults in
-mask order.  Each prefix-doubling step splits its slice and the prefix it
-reads, ``from_additive``'s normalization splits the table, and
-``_interp_monotone`` splits its input and output, each half chunked on its
-own thread.  Every pass is elementwise over disjoint slices and the passes
-keep their order on each entry, so tables and violation lists are bit for
-bit the serial ones.
+split along its offsets.  ``_faults`` splits each pass's comparison into
+the two halves of one bool buffer, and one ``flatnonzero`` over the whole
+buffer reads a pass's drops in mask order.  Each prefix-doubling step
+splits its slice and the prefix it reads, ``from_additive``'s
+normalization splits the table, and ``_interp_monotone`` splits its input
+and output, each half chunked on its own thread.  Every pass is
+elementwise over disjoint slices and the passes keep their order on each
+entry, so tables and violation lists are bit for bit the serial ones.
 numpy's ufuncs release the GIL, so the halves run at once.  The split is
 skipped below ``_SPLIT_ENTRIES`` entries per view (n < 20 for a comparison
 pass) and when the process may use one CPU only, which ``_TWO_CPUS`` reads
@@ -198,19 +196,10 @@ def validate_table(
     single-element monotonicity), in deterministic order.  An empty list
     means the table is a valid capacity.
 
-    A capacity is accepted by ``_is_capacity`` alone: the two endpoints and
-    one ``lo <= hi`` sweep over every lattice pair, with no range pass and no
-    index arrays.  That is exact.  If the sweep holds, no entry is NaN, since
-    NaN fails every ``<=``; every mask lies on a chain of one-point steps from
-    the empty set to the full set, each step non-decreasing, so every entry
-    lies between ``table[0] = 0`` and ``table[-1] = 1`` and no range,
-    normalization or monotonicity constraint is violated.  Conversely a
-    capacity violates none of them, so it passes the sweep.  Only a table
-    that fails it is diagnosed by ``_faults``, which lists every violation.
+    One lattice sweep, ``_faults``, accepts a capacity or lists every
+    violation of any other table.
     """
     table = _dense_table(space, values)
-    if _is_capacity(table, space.size):
-        return []
     faults = _faults(table, space.size)
     # _first is the Capacity constructor's mode: raise its error for the first violation and count
     # the rest from their index arrays, so a table with a million faults costs one message.  The
@@ -222,40 +211,43 @@ def validate_table(
     return [_violation(table, kind, mask, element) for kind, masks, element in faults for mask in masks.tolist()]
 
 
-def _is_capacity(table: np.ndarray, points: int) -> bool:
-    """Whether ``table[0] == 0``, ``table[-1] == 1`` and ``table[A] <= table[A + {i}]`` for every lattice pair.
-
-    Each pass compares into one bool buffer of ``2**(points-1)`` entries,
-    reused by every pass and written in halves through ``_in_halves``; the
-    sweep stops at the first pass with a pair that fails.
-    """
-    if not (table[0] == 0.0 and table[-1] == 1.0):
-        return False
-    holds = np.empty(table.size // 2, dtype=bool)
-    for _, lo, hi, order in _lattice_pairs(table, points):
-        out = holds.reshape(lo.shape)
-        _in_halves(lambda lo, hi, out: np.less_equal(lo, hi, out=out, order=order), lo, hi, out)
-        if not out.all():
-            return False
-    return True
-
-
 def _faults(table: np.ndarray, points: int):
-    """Yield ``(kind, masks, element)`` for each group of violations, in validate_table's order.
+    """Yield ``(kind, masks, element)`` for each group of violations, in validate_table's order; none for a capacity.
 
     First the masks whose value lies outside [0,1], then mu(empty) != 0 and
-    mu(X) != 1, then for each point ``i`` (the ``element``) the masks ``A``
-    without ``i`` where mu(A) > mu(A + {i}), in increasing order.
+    mu(X) != 1, then for each point ``i`` (the ``element``) from the first
+    failing pass on the masks ``A`` without ``i`` where mu(A) > mu(A + {i}),
+    in increasing order.
+
+    One sweep over ``_lattice_pairs`` accepts or diagnoses, each pass writing
+    one reused C-ordered bool buffer in halves through ``_in_halves``.  While
+    the endpoints are 0 and 1 and every pass so far holds, a pass compares
+    ``lo <= hi``.  The diagnosis starts at the first pass that fails, or at
+    pass 0 if an endpoint is wrong: the range and normalization groups, then
+    ``lo > hi`` and one ``flatnonzero`` for this pass and each later one.
+
+    A table that never fails is a capacity, found with no range pass and no
+    index array.  That is exact: NaN fails every ``<=``, and every mask lies
+    on a chain of non-decreasing one-point steps from ``table[0] = 0`` to
+    ``table[-1] = 1``, so no entry leaves [0,1].  Conversely a capacity
+    passes every ``lo <= hi``.
     """
-    yield "domain", np.flatnonzero(~((table >= 0.0) & (table <= 1.0))), None
-    boundary = [mask for mask, want in ((0, 0.0), (table.size - 1, 1.0)) if table[mask] != want]
-    yield "not-normalized", np.array(boundary, dtype=np.int64), None
+    normalized = table[0] == 0.0 and table[-1] == 1.0
+    buffer = np.empty(table.size // 2, dtype=bool)
+    diagnosing = False
     for i, lo, hi, order in _lattice_pairs(table, points):
-        # a C-ordered result, whatever the iteration order, so that flatnonzero need not copy it; its
-        # halves are written at once, and one flatnonzero over the whole reads them in mask order
-        drops = np.empty(lo.shape, dtype=bool)
-        _in_halves(lambda lo, hi, out: np.greater(lo, hi, out=out, order=order), lo, hi, drops)
-        k = np.flatnonzero(drops)  # k = block * 2**i + offset; its mask is block * 2**(i+1) + offset
+        out = buffer.reshape(lo.shape)
+        if not diagnosing:
+            if normalized:
+                _in_halves(lambda lo, hi, out: np.less_equal(lo, hi, out=out, order=order), lo, hi, out)
+                if out.all():
+                    continue
+            diagnosing = True
+            yield "domain", np.flatnonzero(~((table >= 0.0) & (table <= 1.0))), None
+            boundary = [mask for mask, want in ((0, 0.0), (table.size - 1, 1.0)) if table[mask] != want]
+            yield "not-normalized", np.array(boundary, dtype=np.int64), None
+        _in_halves(lambda lo, hi, out: np.greater(lo, hi, out=out, order=order), lo, hi, out)
+        k = np.flatnonzero(out)  # k = block * 2**i + offset; its mask is block * 2**(i+1) + offset
         yield "not-monotone", k + (k >> i << i), i
 
 

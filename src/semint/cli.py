@@ -345,8 +345,6 @@ def _parse_params(doc, loc: str) -> dict:
     out: dict = {}
     if "horizon" in obj:
         out["horizon"] = _as_int(obj["horizon"], f"{loc}/horizon")
-        if out["horizon"] < 1:
-            raise SchemaError(f"horizon must be >= 1, got {out['horizon']}", f"{loc}/horizon")
     if "epsilon" in obj:
         eps = _as_num(obj["epsilon"], f"{loc}/epsilon")
         if not math.isfinite(eps) or eps < 0.0:
@@ -373,6 +371,8 @@ def _parse_sequence(doc, space: FiniteSpace, params: dict, loc: str) -> FnSequen
         horizon = params.get("horizon", DEFAULT_HORIZON)
         try:
             return counterexample_constant(space, rate, horizon)
+        except DomainError as e:  # the horizon's bound check
+            raise SchemaError(str(e), "/params/horizon") from None
         except SemintError as e:
             raise _located(e, f"{loc}/rate")
     if kind == "explicit":

@@ -58,6 +58,9 @@ from semint.semicopula import Semicopula
 DEFAULT_EPSILON = 1e-9
 DEFAULT_T_GRID_SIZE = 100
 
+# the generators' longest horizon, one term per step: 10**5 constant-rate steps take seconds and over 100 MiB
+MAX_HORIZON = 100_000
+
 MODE_IN_CAPACITY = "in-capacity"
 MODE_STRICT = "strict"
 MODE_IN_MEAN = "in-mean"
@@ -398,7 +401,7 @@ def counterexample_constant(
     be in (0, 1] and strictly decreasing over the horizon, the finite stand-in
     for "positive and vanishing".
     """
-    horizon = _checked_int(horizon, "horizon", 1)
+    horizon = _checked_int(horizon, "horizon", 1, MAX_HORIZON)
     if callable(rate):
         fn = rate
         label = getattr(rate, "__name__", "callable")
@@ -439,7 +442,7 @@ def random_strict_sequence(
     exactly rather than approximately.
     """
     _require_types(("space", space, FiniteSpace), ("rng", rng, np.random.Generator))
-    horizon = _checked_int(horizon, "horizon", 1)
+    horizon = _checked_int(horizon, "horizon", 1, MAX_HORIZON)
     vanish_at = default_tail_start(horizon) if vanish_at is None else _checked_int(vanish_at, "vanish_at")
     limit_values = rng.random(space.size)
     limit = MeasurableFn(space, limit_values)
@@ -473,7 +476,7 @@ def random_audit(
     acceptance suite; a fixed seed makes the whole batch reproducible.
     """
     rng = np.random.default_rng(_checked_int(seed, "seed", 0))
-    horizon = _checked_int(horizon, "horizon", 1)
+    horizon = _checked_int(horizon, "horizon", 1, MAX_HORIZON)
     semicopulas = _as_tuple(semicopulas, "semicopulas", Semicopula)
     _require_types(*(("s", s, Semicopula) for s in semicopulas))
     out = []

@@ -421,13 +421,13 @@ def test_distortion_runs_no_table_scan(monkeypatch):
     import semint.capacity as capacity_module
 
     scans = []
-    real = capacity_module._is_capacity
+    real = capacity_module._faults
 
     def counted(table, points):
         scans.append(table.size)
         return real(table, points)
 
-    monkeypatch.setattr(capacity_module, "_is_capacity", counted)
+    monkeypatch.setattr(capacity_module, "_faults", counted)
     space = FiniteSpace(6)
     base = random_capacity(space, np.random.default_rng(1))
     assert scans == [64]
@@ -647,7 +647,8 @@ def ref_monotone_witnesses(n: int, table: np.ndarray) -> list[tuple[int, int]]:
     out = []
     for i in range(n):
         without = idx[(idx & (1 << i)) == 0]
-        drop = table[without] - table[without | (1 << i)]
+        with np.errstate(invalid="ignore"):  # inf - inf is NaN, which is no drop, as inf > inf is false
+            drop = table[without] - table[without | (1 << i)]
         out.extend((int(a), i) for a in without[drop > 0.0])
     return out
 
@@ -1017,20 +1018,31 @@ def raised(call):
     return None
 
 
+ERRORS = {"domain": DomainError, "not-normalized": NotNormalizedError, "not-monotone": NotMonotoneError}
+
+
 @given(planted_faults(), st.booleans())
 @settings(max_examples=300, deadline=None)
 def test_validation_lists_and_raises_the_full_diagnosis_for_every_planted_fault(planted, split):
     n, table = planted
     space = FiniteSpace(n)
-    want = [
-        capacity_module._violation(table, kind, mask, element)
-        for kind, masks, element in capacity_module._faults(table, n)
-        for mask in masks.tolist()
-    ]
-    want_error = raised(lambda: capacity_module._raise_at_first_fault(table, capacity_module._faults(table, n)))
+    # an independent reference: the range masks, the two endpoints, then the index-loop witnesses
+    want = [("domain", int(mask), None) for mask in np.flatnonzero(~((table >= 0) & (table <= 1)))]
+    ends = ((0, 0.0), (table.size - 1, 1.0))
+    want += [("not-normalized", mask, None) for mask, value in ends if table[mask] != value]
+    want += [("not-monotone", mask, i) for mask, i in ref_monotone_witnesses(n, table)]
     with pytest.MonkeyPatch.context() as patch:
         if split:
             split_everywhere(patch)
-        assert capacity_module._is_capacity(table, n) == (want == [])
-        assert validate_table(space, table) == want
-        assert raised(lambda: Capacity.from_table(space, table)) == want_error
+        listed = validate_table(space, table)
+        error = raised(lambda: Capacity.from_table(space, table))
+        diagnosed = list(capacity_module._faults(table, n))
+    assert (diagnosed == []) == (want == [])  # a capacity, ties included, gets no diagnosis at all
+    assert [(v.kind, v.mask, v.element) for v in listed] == want
+    if not want:
+        assert error is None
+        return
+    kind, mask, element = want[0]
+    message = listed[0].message if kind == "domain" else f"{listed[0].message} ({len(want)} violation(s) total)"
+    witness = (mask, element) if kind == "not-monotone" else (None, None)
+    assert error == (ERRORS[kind], message, *witness)

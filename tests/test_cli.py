@@ -282,6 +282,26 @@ def test_converge_horizon_mismatch_is_schema_error(tmp_path):
     assert err["code"] == "schema" and err["location"] == "/params/horizon"
 
 
+@pytest.mark.parametrize(
+    "terms, location, message",
+    [
+        ([[0.1]], "/params/horizon", "params.horizon=0 but the sequence has 1 terms"),
+        ([[1.5]], "/sequence/terms/0", None),  # a bad term is reported before the horizon
+    ],
+)
+def test_an_explicit_sequence_reports_a_zero_horizon_as_a_mismatch(tmp_path, capsys, terms, location, message):
+    doc = {
+        "space": {"n": 1},
+        "capacity": {"kind": "table", "values": [0, 1]},
+        "semicopula": {"kind": "min"},
+        "sequence": {"kind": "explicit", "terms": terms, "limit": [0.0]},
+        "params": {"horizon": 0},
+    }
+    assert cli.run(["converge", write(tmp_path, "z.json", doc)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["location"] == location and (message is None or err["message"] == message)
+
+
 def test_converge_bad_t_grid_location(tmp_path):
     doc = converge_instance(t_grid=[0.5, 0.0])
     proc = run_cli("converge", write(tmp_path, "g.json", doc))
@@ -405,7 +425,27 @@ def test_converge_horizon_below_one_is_located(tmp_path, horizon):
     assert proc.returncode == 2 and proc.stdout == b""
     err = strict_json(proc.stderr)
     assert err["code"] == "schema" and err["location"] == "/params/horizon"
-    assert err["message"] == f"horizon must be >= 1, got {horizon}"
+    assert err["message"] == f"horizon must be in 1..100000, got {horizon}"
+
+
+HUGE = 2**63
+
+
+@pytest.mark.parametrize(
+    "args, doc",
+    [
+        (("counterexample", "--theorem", "1", "--horizon", str(HUGE)), None),
+        (("audit", "--cases", "1", "--horizon", str(HUGE)), None),
+        (("converge", "-"), converge_instance(horizon=HUGE)),
+    ],
+    ids=["counterexample", "audit", "converge"],
+)
+def test_a_huge_horizon_is_refused_by_the_library_bound(args, doc):
+    proc = run_cli(*args, stdin=None if doc is None else json.dumps(doc).encode())
+    assert proc.returncode == 2 and proc.stdout == b""
+    code, location = ("schema", "/params/horizon") if doc else ("domain", "")
+    message = f"horizon must be in 1..100000, got {HUGE}"
+    assert error_of(proc) == {"code": code, "message": message, "location": location}
 
 
 def test_audit_negative_cases_exits_two():
@@ -418,7 +458,7 @@ def test_audit_negative_cases_exits_two():
     "args, message",
     [
         (("--cases", "1", "--seed", "-1"), "seed must be >= 0, got -1"),
-        (("--cases", "0", "--horizon", "0"), "horizon must be >= 1, got 0"),
+        (("--cases", "0", "--horizon", "0"), "horizon must be in 1..100000, got 0"),
     ],
     ids=["seed", "horizon-without-cases"],
 )

@@ -8,9 +8,9 @@ or one strict-JSON document, and stderr is empty or one strict-JSON error
 object, on stderr exactly when the code is 2.
 
 Sizes stay small so that no run allocates much: ``n`` and ``--space-size``
-are at most 6, and every other int flag and params value at most 50.  A
-params ``horizon`` is drawn from those small ints only, never huge, since a
-constant-rate sequence builds one term per step of its horizon.
+are at most 6, and every other int flag and params value is at most 50 or
+huge.  A huge horizon, in params or a flag, must be refused by the
+generators' ``MAX_HORIZON`` bound before any term is built.
 """
 
 import contextlib
@@ -29,10 +29,10 @@ numbers = st.one_of(SMALL_INTS, HUGE_INTS, st.floats())  # st.floats() draws NaN
 valid_units = st.sampled_from(EDGE_UNITS) | st.floats(0.0, 1.0)
 KINDS = ["table", "additive", "possibility", "distortion", "min", "product", "prodmax", "lukasiewicz", "explicit",
          "constant-rate"]
-# each key the CLI reads, but "horizon", which only the params strategy sets, and only to small ints
+# each key the CLI reads
 KEYS = st.sampled_from(["n", "kind", "values", "weights", "base", "g", "grid", "resolution", "space", "capacity",
                         "semicopula", "function", "sequence", "params", "terms", "limit", "rate", "epsilon",
-                        "tail_start", "t_grid"]) | st.text(max_size=3)
+                        "horizon", "tail_start", "t_grid"]) | st.text(max_size=3)
 scalars = st.one_of(st.none(), st.booleans(), numbers, st.sampled_from(KINDS), st.text(max_size=4))
 json_values = st.recursive(
     scalars, lambda inner: st.lists(inner, max_size=4) | st.dictionaries(KEYS, inner, max_size=4), max_leaves=12
@@ -105,7 +105,7 @@ def sequences(size: int):
     rate = st.fixed_dictionaries({"kind": st.just("constant-rate"), "rate": st.sampled_from(["1/n", "1/2^n", "x"])})
     params = st.fixed_dictionaries(
         {},
-        optional={"horizon": SMALL_INTS, "epsilon": often(valid_units, numbers),
+        optional={"horizon": SMALL_INTS | HUGE_INTS, "epsilon": often(valid_units, numbers),
                   "tail_start": often(st.integers(1, 6), SMALL_INTS | HUGE_INTS),
                   "t_grid": often(st.lists(st.floats(5e-324, 1.0), min_size=1, max_size=4), st.lists(numbers, max_size=4))},
     )
@@ -140,6 +140,7 @@ def flag(name: str, values):
 
 
 SIZES = st.sampled_from([-2, -1, 0, 1, 2, 50])
+HORIZONS = st.sampled_from([-2, -1, 0, 1, 2, 50, 2**63, 10**399])
 FLAGS = {
     "integrate": [],
     "oracle": [flag("--grid-points", SIZES)],
@@ -149,7 +150,7 @@ FLAGS = {
     "counterexample": [
         flag("--theorem", st.sampled_from([0, 1, 2])),
         flag("--rate", st.sampled_from(["1/n", "1/log(n+2)", "x"])),
-        flag("--horizon", SIZES),
+        flag("--horizon", HORIZONS),
         flag("--space-size", st.sampled_from([-1, 0, 1, 2, 6])),
         flag("--semicopula", st.sampled_from(["min", "lukasiewicz", "max"])),
         flag("--epsilon", st.sampled_from(["0", "-1", "nan", "inf", "1e-9"])),
@@ -159,7 +160,7 @@ FLAGS = {
         flag("--cases", st.sampled_from([-1, 0, 1, 2])),
         flag("--seed", st.sampled_from([-1, 0, 7])),
         flag("--space-size", st.sampled_from([-1, 0, 1, 6])),
-        flag("--horizon", SIZES),
+        flag("--horizon", HORIZONS),
     ],
 }
 

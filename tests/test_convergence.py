@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from semint import (
     BUILTINS,
     DEFAULT_EPSILON,
+    MAX_HORIZON,
     MIN,
     BadGridError,
     BadRateError,
@@ -519,12 +520,16 @@ INT_BOUNDS = {
     "FiniteSpace-high": (FiniteSpace, 24, 25, "space size must be in 1..24, got 25"),
     "tail_start-low": (INT_ARGUMENTS["check_strict"][1], 1, 0, "tail_start must be in 1..10, got 0"),
     "tail_start-high": (INT_ARGUMENTS["check_strict"][1], 10, 11, "tail_start must be in 1..10, got 11"),
-    "counterexample_constant": (INT_ARGUMENTS["counterexample_constant"][1], 1, 0, "horizon must be >= 1, got 0"),
-    "random_strict_sequence": (INT_ARGUMENTS["random_strict_sequence-horizon"][1], 1, 0, "horizon must be >= 1, got 0"),
+    "counterexample_constant": (
+        INT_ARGUMENTS["counterexample_constant"][1], 1, 0, "horizon must be in 1..100000, got 0"
+    ),
+    "random_strict_sequence": (
+        INT_ARGUMENTS["random_strict_sequence-horizon"][1], 1, 0, "horizon must be in 1..100000, got 0"
+    ),
     "random_audit-cases": (lambda x: random_audit(SPACE, BUILTINS, x, 1), 0, -1, "cases must be >= 0, got -1"),
     "random_audit-seed": (lambda x: random_audit(SPACE, BUILTINS, 1, x), 0, -1, "seed must be >= 0, got -1"),
     "random_audit-horizon": (
-        lambda x: random_audit(SPACE, BUILTINS, 1, 1, horizon=x), 1, 0, "horizon must be >= 1, got 0"
+        lambda x: random_audit(SPACE, BUILTINS, 1, 1, horizon=x), 1, 0, "horizon must be in 1..100000, got 0"
     ),
     "default_t_grid": (default_t_grid, 0, -1, "points must be >= 0, got -1"),
     "default_tail_start": (default_tail_start, 1, 0, "horizon must be >= 1, got 0"),
@@ -546,6 +551,20 @@ def test_a_bounded_int_is_accepted_at_its_bound_and_refused_one_past_it(call, at
     with pytest.raises(DomainError) as err:
         call(past)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("past", [MAX_HORIZON + 1, 2**63, 10**399])
+@pytest.mark.parametrize("key", ["counterexample_constant", "random_strict_sequence-horizon", "random_audit-horizon"])
+def test_a_generated_sequence_is_refused_past_the_horizon_cap_before_any_term_is_built(key, past):
+    # at the cap itself each generator builds 10**5 terms, seconds of work, so only the refusal is run here
+    with pytest.raises(DomainError) as err:
+        INT_ARGUMENTS[key][1](past)
+    assert str(err.value) == f"horizon must be in 1..100000, got {past}"
+
+
+def test_an_explicit_sequence_is_not_capped():
+    f = MeasurableFn.constant(SPACE, 0.5)
+    assert FnSequence(SPACE, (f,) * (MAX_HORIZON + 1), f).horizon == MAX_HORIZON + 1
 
 
 def test_the_smallest_bounds_give_empty_results():
