@@ -220,18 +220,21 @@ def _num_list(x, loc: str) -> list[float]:
     return [_as_num(v, f"{loc}/{i}") for i, v in enumerate(items)]
 
 
-def _located(err: SemintError, loc: str) -> SemintError:
-    err.location = loc
-    return err
+def _located(loc: str, build, *args, schema: bool = False):
+    """``build(*args)``, with a library error it raises located at ``loc``, the node its arguments came from:
+    as itself, or with ``schema`` (a size or position the library refuses) as a ``SchemaError``."""
+    try:
+        return build(*args)
+    except SemintError as e:
+        if schema:
+            raise SchemaError(str(e), loc) from None
+        e.location = loc
+        raise
 
 
 def parse_space(doc, loc: str) -> FiniteSpace:
     obj = _as_obj(doc, loc)
-    n = _as_int(_get(obj, "n", loc), f"{loc}/n")
-    try:
-        return FiniteSpace(n)
-    except DomainError as e:
-        raise SchemaError(str(e), f"{loc}/n") from None
+    return _located(f"{loc}/n", FiniteSpace, _as_int(_get(obj, "n", loc), f"{loc}/n"), schema=True)
 
 
 def infer_capacity_space(doc, loc: str) -> FiniteSpace:
@@ -242,10 +245,7 @@ def infer_capacity_space(doc, loc: str) -> FiniteSpace:
         return parse_space(obj, loc)
     if kind in ("possibility", "additive"):
         weights = _num_list(_get(obj, "weights", loc), f"{loc}/weights")
-        try:
-            return FiniteSpace(len(weights))
-        except DomainError as e:
-            raise SchemaError(str(e), f"{loc}/weights") from None
+        return _located(f"{loc}/weights", FiniteSpace, len(weights), schema=True)
     if kind == "distortion":
         return infer_capacity_space(_get(obj, "base", loc), f"{loc}/base")
     raise SchemaError(f"unknown capacity kind {kind!r}", f"{loc}/kind")
@@ -271,29 +271,16 @@ def parse_capacity(doc, space: FiniteSpace, loc: str) -> Capacity:
     obj = _as_obj(doc, loc)
     kind = _as_str(_get(obj, "kind", loc), f"{loc}/kind")
     if kind == "table":
-        values = _table_values(obj, space, loc)
-        try:
-            return Capacity.from_table(space, values)
-        except SemintError as e:
-            raise _located(e, f"{loc}/values")
+        return _located(f"{loc}/values", Capacity.from_table, space, _table_values(obj, space, loc))
     if kind in ("possibility", "additive"):
         weights = _num_list(_get(obj, "weights", loc), f"{loc}/weights")
         if len(weights) != space.size:
-            raise SchemaError(
-                f"need {space.size} weights, got {len(weights)}", f"{loc}/weights"
-            )
+            raise SchemaError(f"need {space.size} weights, got {len(weights)}", f"{loc}/weights")
         build = Capacity.from_possibility if kind == "possibility" else Capacity.from_additive
-        try:
-            return build(space, weights)
-        except SemintError as e:
-            raise _located(e, f"{loc}/weights")
+        return _located(f"{loc}/weights", build, space, weights)
     if kind == "distortion":
         base = parse_capacity(_get(obj, "base", loc), space, f"{loc}/base")
-        g = _num_list(_get(obj, "g", loc), f"{loc}/g")
-        try:
-            return Capacity.from_distortion(base, g)
-        except SemintError as e:
-            raise _located(e, f"{loc}/g")
+        return _located(f"{loc}/g", Capacity.from_distortion, base, _num_list(_get(obj, "g", loc), f"{loc}/g"))
     raise SchemaError(f"unknown capacity kind {kind!r}", f"{loc}/kind")
 
 
@@ -305,13 +292,8 @@ def parse_semicopula(doc, loc: str) -> Semicopula:
     if kind == "table":
         grid = _as_list(_get(obj, "grid", loc), f"{loc}/grid")
         rows = [_num_list(row, f"{loc}/grid/{i}") for i, row in enumerate(grid)]
-        resolution = None
-        if "resolution" in obj:
-            resolution = _as_int(obj["resolution"], f"{loc}/resolution")
-        try:
-            return Semicopula("table", rows, resolution)
-        except SemintError as e:
-            raise _located(e, f"{loc}/grid")
+        resolution = _as_int(obj["resolution"], f"{loc}/resolution") if "resolution" in obj else None
+        return _located(f"{loc}/grid", Semicopula, "table", rows, resolution)
     raise SchemaError(f"unknown semicopula kind {kind!r}", f"{loc}/kind")
 
 
@@ -320,10 +302,7 @@ def _fn_values(x, space: FiniteSpace, loc: str) -> MeasurableFn:
     values = _num_list(x, loc)
     if len(values) != space.size:
         raise SchemaError(f"need {space.size} values, got {len(values)}", loc)
-    try:
-        return MeasurableFn(space, values)
-    except SemintError as e:
-        raise _located(e, loc)
+    return _located(loc, MeasurableFn, space, values)
 
 
 def parse_function(doc, space: FiniteSpace, loc: str) -> MeasurableFn:
@@ -331,13 +310,17 @@ def parse_function(doc, space: FiniteSpace, loc: str) -> MeasurableFn:
     return _fn_values(_get(obj, "values", loc), space, f"{loc}/values")
 
 
-def _parse_point_instance(doc) -> tuple[FiniteSpace, Capacity, Semicopula, MeasurableFn]:
-    obj = _as_obj(doc, "/")
+def _parse_model(obj: dict) -> tuple[FiniteSpace, Capacity, Semicopula]:
+    """The space, capacity and semicopula at the root of an instance, read in that order."""
     space = parse_space(_get(obj, "space", "/"), "/space")
     c = parse_capacity(_get(obj, "capacity", "/"), space, "/capacity")
-    s = parse_semicopula(_get(obj, "semicopula", "/"), "/semicopula")
-    f = parse_function(_get(obj, "function", "/"), space, "/function")
-    return space, c, s, f
+    return space, c, parse_semicopula(_get(obj, "semicopula", "/"), "/semicopula")
+
+
+def _parse_point_instance(doc) -> tuple[FiniteSpace, Capacity, Semicopula, MeasurableFn]:
+    obj = _as_obj(doc, "/")
+    space, c, s = _parse_model(obj)
+    return space, c, s, parse_function(_get(obj, "function", "/"), space, "/function")
 
 
 def _parse_params(doc, loc: str) -> dict:
@@ -373,8 +356,9 @@ def _parse_sequence(doc, space: FiniteSpace, params: dict, loc: str) -> FnSequen
             return counterexample_constant(space, rate, horizon)
         except DomainError as e:  # the horizon's bound check
             raise SchemaError(str(e), "/params/horizon") from None
-        except SemintError as e:
-            raise _located(e, f"{loc}/rate")
+        except SemintError as e:  # the rate's own errors
+            e.location = f"{loc}/rate"
+            raise
     if kind == "explicit":
         term_rows = _as_list(_get(obj, "terms", loc), f"{loc}/terms")
         if not term_rows:
@@ -444,17 +428,12 @@ def _cmd_check_capacity(args) -> int:
 
 def _cmd_converge(args) -> int:
     obj = _as_obj(_load_json(args.instance), "/")
-    space = parse_space(_get(obj, "space", "/"), "/space")
-    c = parse_capacity(_get(obj, "capacity", "/"), space, "/capacity")
-    s = parse_semicopula(_get(obj, "semicopula", "/"), "/semicopula")
+    space, c, s = _parse_model(obj)
     params = _parse_params(obj.get("params", {}), "/params")
     seq = _parse_sequence(_get(obj, "sequence", "/"), space, params, "/sequence")
 
     epsilon = params.get("epsilon", DEFAULT_EPSILON)
-    try:
-        tail_start = _tail_start(seq.horizon, params.get("tail_start"))
-    except DomainError as e:
-        raise SchemaError(str(e), "/params/tail_start") from None
+    tail_start = _located("/params/tail_start", _tail_start, seq.horizon, params.get("tail_start"), schema=True)
     t_grid = params.get("t_grid")
     rep_cap = check_in_capacity(c, seq, t_grid, epsilon, tail_start)
     rep_strict = check_strict(c, seq, epsilon, tail_start)

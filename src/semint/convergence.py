@@ -60,6 +60,9 @@ DEFAULT_T_GRID_SIZE = 100
 
 # the generators' longest horizon, one term per step: 10**5 constant-rate steps take seconds and over 100 MiB
 MAX_HORIZON = 100_000
+# random_audit's most cases, since it keeps every report: at n = 4 and horizon 24 a case keeps about 20 KiB
+# and takes about 1 ms, so a run at the bound keeps about 200 MiB and takes about 10 s
+MAX_CASES = 10_000
 
 MODE_IN_CAPACITY = "in-capacity"
 MODE_STRICT = "strict"
@@ -480,7 +483,7 @@ def random_audit(
     semicopulas = _as_tuple(semicopulas, "semicopulas", Semicopula)
     _require_types(*(("s", s, Semicopula) for s in semicopulas))
     out = []
-    for _ in range(_checked_int(cases, "cases", 0)):
+    for _ in range(_checked_int(cases, "cases", 0, MAX_CASES)):
         c = random_capacity(space, rng)
         seq = random_strict_sequence(space, c, horizon, rng)
         reports = [theorem1_audit(c, seq)]

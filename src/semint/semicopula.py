@@ -254,7 +254,7 @@ def validate_semicopula(s: Semicopula, check_resolution: int) -> ValidationRepor
     _require_types(("s", s, Semicopula))
     check_resolution = _checked_int(check_resolution, "check_resolution", 2)
     axis = np.linspace(0.0, 1.0, check_resolution + 1)
-    grid_a, grid_b = np.meshgrid(axis, axis, indexing="ij")
+    grid_a, grid_b = np.broadcast_arrays(axis[:, None], axis[None, :])  # read-only views: no lattice copy
     values = s._evaluate_array(grid_a, grid_b)
 
     last = check_resolution

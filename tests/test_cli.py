@@ -459,8 +459,10 @@ def test_audit_negative_cases_exits_two():
     [
         (("--cases", "1", "--seed", "-1"), "seed must be >= 0, got -1"),
         (("--cases", "0", "--horizon", "0"), "horizon must be in 1..100000, got 0"),
+        (("--cases", "10001"), "cases must be in 0..10000, got 10001"),
+        (("--cases", "100000000000000000000"), "cases must be in 0..10000, got 100000000000000000000"),
     ],
-    ids=["seed", "horizon-without-cases"],
+    ids=["seed", "horizon-without-cases", "cases-past-max", "huge-cases"],
 )
 def test_audit_refuses_a_bad_seed_or_horizon_with_a_domain_error(args, message):
     proc = run_cli("audit", *args)
@@ -662,6 +664,62 @@ def test_errors_in_a_bare_document_are_located_from_its_root(tmp_path, capsys, c
     out, err = capsys.readouterr()
     assert out == ""
     assert json.loads(err)["location"] == location
+
+
+def _pair_instance(capacity) -> dict:
+    return dict(INSTANCE, space={"n": 2}, capacity=capacity, function={"values": [0.5, 0.5]})
+
+
+def _distortion_of(base) -> dict:
+    return {"kind": "distortion", "base": base, "g": [0.0, 1.0]}
+
+
+@pytest.mark.parametrize(
+    "command, doc, error",
+    [
+        ("integrate", dict(INSTANCE, space={"n": 0}), ("schema", "space size must be in 1..24, got 0", "/space/n")),
+        (
+            "integrate",
+            _pair_instance({"kind": "additive", "weights": [0.5, 0.75]}),
+            ("bad-weights", "additive weights sum to 1.25, expected 1 within 1e-9", "/capacity/weights"),
+        ),
+        (
+            "integrate",
+            _pair_instance({"kind": "possibility", "weights": [0.5, 0.75]}),
+            ("max-not-one", "max weight is 0.75, expected exactly 1", "/capacity/weights"),
+        ),
+        (
+            "integrate",
+            _pair_instance({"kind": "distortion", "base": {"kind": "additive", "weights": [0.5, 0.5]}, "g": [0.0, 0.5]}),
+            ("bad-distortion", "distortion endpoints are (0.0, 0.5), expected (0, 1)", "/capacity/g"),
+        ),
+        (
+            "integrate",
+            _pair_instance(_distortion_of({"kind": "additive", "weights": [0.5, 0.75]})),
+            ("bad-weights", "additive weights sum to 1.25, expected 1 within 1e-9", "/capacity/base/weights"),
+        ),
+        (
+            "integrate",
+            _pair_instance(_distortion_of({"kind": "table", "values": [0.0, 0.5, 0.5, 0.75]})),
+            ("not-normalized", "mu(X) = 0.75, expected 1 (1 violation(s) total)", "/capacity/base/values"),
+        ),
+        (
+            "check-capacity",
+            {"kind": "additive", "weights": []},
+            ("schema", "space size must be in 1..24, got 0", "/weights"),
+        ),
+        (
+            "check-capacity",
+            _distortion_of({"kind": "possibility", "weights": []}),
+            ("schema", "space size must be in 1..24, got 0", "/base/weights"),
+        ),
+    ],
+)
+def test_a_library_error_is_located_at_the_node_that_handed_it_the_value(tmp_path, capsys, command, doc, error):
+    assert cli.run([command, write(tmp_path, "d.json", doc)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err) == dict(zip(("code", "message", "location"), error))
 
 
 # ---------------------------------------------------------------------------

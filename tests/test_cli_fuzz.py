@@ -10,7 +10,8 @@ object, on stderr exactly when the code is 2.
 Sizes stay small so that no run allocates much: ``n`` and ``--space-size``
 are at most 6, and every other int flag and params value is at most 50 or
 huge.  A huge horizon, in params or a flag, must be refused by the
-generators' ``MAX_HORIZON`` bound before any term is built.
+generators' ``MAX_HORIZON`` bound before any term is built, and a huge
+``--cases`` by ``MAX_CASES`` before any case runs.
 """
 
 import contextlib
@@ -157,7 +158,7 @@ FLAGS = {
         flag("--tail-start", SIZES),
     ],
     "audit": [
-        flag("--cases", st.sampled_from([-1, 0, 1, 2])),
+        flag("--cases", st.sampled_from([-1, 0, 1, 2]) | HUGE_INTS),
         flag("--seed", st.sampled_from([-1, 0, 7])),
         flag("--space-size", st.sampled_from([-1, 0, 1, 6])),
         flag("--horizon", HORIZONS),

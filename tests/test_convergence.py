@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from semint import (
     BUILTINS,
     DEFAULT_EPSILON,
+    MAX_CASES,
     MAX_HORIZON,
     MIN,
     BadGridError,
@@ -526,7 +527,7 @@ INT_BOUNDS = {
     "random_strict_sequence": (
         INT_ARGUMENTS["random_strict_sequence-horizon"][1], 1, 0, "horizon must be in 1..100000, got 0"
     ),
-    "random_audit-cases": (lambda x: random_audit(SPACE, BUILTINS, x, 1), 0, -1, "cases must be >= 0, got -1"),
+    "random_audit-cases": (lambda x: random_audit(SPACE, BUILTINS, x, 1), 0, -1, "cases must be in 0..10000, got -1"),
     "random_audit-seed": (lambda x: random_audit(SPACE, BUILTINS, 1, x), 0, -1, "seed must be >= 0, got -1"),
     "random_audit-horizon": (
         lambda x: random_audit(SPACE, BUILTINS, 1, 1, horizon=x), 1, 0, "horizon must be in 1..100000, got 0"
@@ -560,6 +561,24 @@ def test_a_generated_sequence_is_refused_past_the_horizon_cap_before_any_term_is
     with pytest.raises(DomainError) as err:
         INT_ARGUMENTS[key][1](past)
     assert str(err.value) == f"horizon must be in 1..100000, got {past}"
+
+
+class _FirstCase(Exception):
+    pass
+
+
+@pytest.mark.parametrize("past", [MAX_CASES + 1, 2**63, 10**399])
+def test_random_audit_accepts_max_cases_and_refuses_one_past_it_before_any_case_runs(monkeypatch, past):
+    # the first case's capacity raises, so the bound is tested without running 10**4 cases
+    def first_case(*args):
+        raise _FirstCase
+
+    monkeypatch.setattr(conv, "random_capacity", first_case)
+    with pytest.raises(_FirstCase):
+        random_audit(SPACE, BUILTINS, MAX_CASES, 1)
+    with pytest.raises(DomainError) as err:
+        random_audit(SPACE, BUILTINS, past, 1)
+    assert str(err.value) == f"cases must be in 0..10000, got {past}"
 
 
 def test_an_explicit_sequence_is_not_capped():
