@@ -440,6 +440,13 @@ def _cmd_converge(args) -> int:
     rep_mean = check_in_mean(s, c, seq, epsilon, tail_start)
     all_pass = all(r.verdict == "pass" for r in (rep_cap, rep_strict, rep_mean))
 
+    # the table first: a path that cannot be written fails the run before any report is printed
+    if args.csv:
+        rows = [
+            [str(n + 1), _fmt_float(rep_strict.per_n[n]), _fmt_float(rep_mean.per_n[n]), _fmt_float(rep_cap.per_n[n])]
+            for n in range(seq.horizon)
+        ]
+        _write_csv(args.csv, "n,strict_value,mean_value,survival_at_t_min", rows)
     _print_report(
         {
             "horizon": seq.horizon,
@@ -452,12 +459,6 @@ def _cmd_converge(args) -> int:
             "in_mean": rep_mean.to_json_dict(),
         }
     )
-    if args.csv:
-        rows = [
-            [str(n + 1), _fmt_float(rep_strict.per_n[n]), _fmt_float(rep_mean.per_n[n]), _fmt_float(rep_cap.per_n[n])]
-            for n in range(seq.horizon)
-        ]
-        _write_csv(args.csv, "n,strict_value,mean_value,survival_at_t_min", rows)
     return 0 if all_pass else 1
 
 
@@ -523,6 +524,13 @@ def _cmd_audit(args) -> int:
             pair_counts[pair] = pair_counts.get(pair, 0) + 1
             violations += report.violation
 
+    # the table first, as in _cmd_converge
+    if args.csv:
+        _write_csv(
+            args.csv,
+            "case,theorem,semicopula,hypothesis_verdict,conclusion_verdict,violation",
+            rows,
+        )
     _print_report(
         {
             "cases": args.cases,
@@ -536,12 +544,6 @@ def _cmd_audit(args) -> int:
             "verdict_pairs": {k: pair_counts[k] for k in sorted(pair_counts)},
         }
     )
-    if args.csv:
-        _write_csv(
-            args.csv,
-            "case,theorem,semicopula,hypothesis_verdict,conclusion_verdict,violation",
-            rows,
-        )
     return 0 if violations == 0 else 1
 
 

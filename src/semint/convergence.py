@@ -443,6 +443,10 @@ def random_strict_sequence(
     default tail start).  A general capacity has no null sets besides the
     empty set, so emptying the chain is what makes the strict hypothesis hold
     exactly rather than approximately.
+
+    ``c`` is never read: an empty support makes the strict hypothesis hold
+    under every capacity.  The argument stays for existing callers, the
+    benchmark's workloads (``bench/workloads.py``) among them.
     """
     _require_types(("space", space, FiniteSpace), ("rng", rng, np.random.Generator))
     horizon = _checked_int(horizon, "horizon", 1, MAX_HORIZON)

@@ -1,5 +1,8 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
 import threading
 import tracemalloc
 
@@ -974,6 +977,54 @@ def test_builders_past_the_split_size_match_one_cpu_bit_for_bit(monkeypatch):
     split = builder_results(n, 20)
     monkeypatch.setattr(capacity_module, "_TWO_CPUS", False)
     assert split == builder_results(n, 20)
+
+
+# builds the four n = 20 capacities whose passes reach _SPLIT_ENTRIES, after pinning itself to the CPU named by
+# its argument if there is one; prints _TWO_CPUS as semint read it at import, then one SHA-256 digest per table
+BUILD_DIGESTS = """
+import os
+import sys
+
+if len(sys.argv) > 1:
+    os.sched_setaffinity(0, {int(sys.argv[1])})
+
+import hashlib
+
+import numpy as np
+
+from semint import Capacity, FiniteSpace, capacity, random_capacity
+
+space = FiniteSpace(20)
+rng = np.random.default_rng(22)
+w = rng.random(20)
+w[3] = -0.0
+w[7] = 1.0
+base = random_capacity(space, rng)
+g = np.concatenate(([-0.0], np.sort(rng.random(63)), [1.0]))
+print(capacity._TWO_CPUS)
+for c in (Capacity.from_additive(space, w / w.sum()), Capacity.from_possibility(space, w), base,
+          Capacity.from_distortion(base, g)):
+    print(hashlib.sha256(c.table.tobytes()).hexdigest())
+"""
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="needs os.sched_setaffinity and two usable CPUs",
+)
+def test_builders_pinned_to_one_cpu_at_import_give_the_tables_of_two_cpus_bit_for_bit():
+    def digests(*cpu: str) -> tuple[str, list[str]]:
+        proc = subprocess.run(
+            [sys.executable, "-c", BUILD_DIGESTS, *cpu], capture_output=True, text=True, timeout=300
+        )
+        assert proc.returncode == 0, proc.stderr
+        two_cpus, *tables = proc.stdout.split()
+        return two_cpus, tables
+
+    split = digests()
+    serial = digests(str(min(os.sched_getaffinity(0))))  # only the child's own affinity changes
+    assert (split[0], serial[0]) == ("True", "False")
+    assert len(split[1]) == 4 and split[1] == serial[1]
 
 
 PLANTS = ("nan", "inf", "-inf", "below", "above", "empty", "full", "doubled", "drop-low", "drop-high", "drop-top")

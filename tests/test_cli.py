@@ -43,11 +43,26 @@ def error_of(proc) -> dict:
 # integrate / oracle
 
 
+# a value tie: the thresholds 0.5 and 0.2 both reach 0.2, and the smaller one must win
+TIE = {
+    "space": {"n": 3},
+    "capacity": {"kind": "table", "values": [0.0, 0.2, 0.1, 0.2, 0.1, 0.4, 0.5, 1.0]},
+    "semicopula": {"kind": "min"},
+    "function": {"values": [0.5, 0.5, 0.2]},
+}
+
+GOLDEN = [
+    (INSTANCE, b'{"value":0.5,"argmax_t":0.5,"method":"exact","candidates_inspected":4}\n'),
+    (TIE, b'{"value":0.20000000000000001,"argmax_t":0.20000000000000001,"method":"exact","candidates_inspected":2}\n'),
+]
+
+
 def test_integrate_golden_bytes(tmp_path):
-    proc = run_cli("integrate", write(tmp_path, "i.json", INSTANCE))
-    assert proc.returncode == 0
-    assert proc.stdout == b'{"value":0.5,"argmax_t":0.5,"method":"exact","candidates_inspected":4}\n'
-    assert proc.stderr == b""
+    for doc, report in GOLDEN:
+        proc = run_cli("integrate", write(tmp_path, "i.json", doc))
+        assert proc.returncode == 0
+        assert proc.stdout == report
+        assert proc.stderr == b""
 
 
 def test_integrate_reads_stdin(tmp_path):
@@ -189,6 +204,22 @@ def test_check_capacity_table_n_must_match_the_space():
     assert proc.returncode == 2 and proc.stdout == b""
     err = strict_json(proc.stderr)
     assert err["code"] == "schema" and err["location"] == "/capacity/n"
+
+
+def test_check_capacity_lists_every_planted_violation_at_the_split_size(tmp_path, capsys):
+    # n = 20 is the smallest table whose monotonicity passes split onto two threads (with two usable CPUs);
+    # masks 0x1 and 0x2 in the lower half and the top point alone in the upper half each lie above all 19 of
+    # their one-point supersets
+    n = 20
+    planted = (0x1, 0x2, 1 << (n - 1))
+    values = [bin(mask).count("1") / n for mask in range(1 << n)]
+    for mask in planted:
+        values[mask] = 0.5
+    assert cli.run(["check-capacity", write(tmp_path, "p.json", {"n": n, "kind": "table", "values": values})]) == 1
+    violations = json.loads(capsys.readouterr().out)["violations"]
+    assert {v["kind"] for v in violations} == {"not-monotone"}
+    pairs = [(v["mask"], v["element"]) for v in violations]
+    assert sorted(pairs) == [(mask, i) for mask in planted for i in range(n) if not mask >> i & 1]
 
 
 def test_check_capacity_constructor_violation_exits_one():
@@ -481,6 +512,24 @@ def test_audit_clean_run(tmp_path):
     assert lines[0] == "case,theorem,semicopula,hypothesis_verdict,conclusion_verdict,violation"
     assert len(lines) == 1 + 20 * 5
     assert all(line.endswith(",0") for line in lines[1:])
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        lambda tmp_path: ["converge", write(tmp_path, "c.json", converge_instance(horizon=10))],
+        lambda tmp_path: ["audit", "--cases", "2"],
+    ],
+    ids=["converge", "audit"],
+)
+def test_a_csv_path_that_cannot_be_written_fails_the_run_before_any_report(tmp_path, capsys, args):
+    csv_path = str(tmp_path / "missing" / "x.csv")
+    assert cli.run([*args(tmp_path), "--csv", csv_path]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    err = json.loads(err)
+    assert set(err) == {"code", "message", "location"}
+    assert (err["code"], err["location"]) == ("io", csv_path) and csv_path in err["message"]
 
 
 # ---------------------------------------------------------------------------

@@ -772,6 +772,27 @@ def test_strict_pass_forces_in_capacity_pass_at_zero(seed):
         assert check_in_capacity(c, seq, grid, 0.0, ts).verdict == "pass"
 
 
+@pytest.mark.parametrize(
+    "t, t_grid, in_mean",
+    [
+        # S(0.8, 0.2) is 0 under Lukasiewicz only
+        (0.8, None, {"min": "fail", "product": "fail", "prodmax": "fail", "lukasiewicz": "pass"}),
+        # 5e-324 * 0.2 rounds to 0, so only min keeps the converse
+        (5e-324, [5e-324], {"min": "fail", "product": "pass", "prodmax": "pass", "lukasiewicz": "pass"}),
+    ],
+)
+def test_the_converse_of_claim_3_fails_where_s_of_the_smallest_threshold_and_mass_is_zero(t, t_grid, in_mean):
+    # h = (t, 0, 0) has the smallest positive mass, 0.2, on its support: a sequence of h fails in capacity at
+    # epsilon = 0 (survival 0.2 at every threshold up to t) and passes in mean exactly where S(t, 0.2) = 0
+    space = FiniteSpace(3)
+    c = Capacity.from_additive(space, [0.2, 0.3, 0.5])
+    h = MeasurableFn(space, [t, 0.0, 0.0])
+    seq = FnSequence(space, (h,) * 20, MeasurableFn.constant(space, 0.0))
+    report = check_in_capacity(c, seq, t_grid, 0.0)
+    assert (report.verdict, report.tail_sup) == ("fail", 0.2)
+    assert {s.kind: check_in_mean(s, c, seq, 0.0).verdict for s in BUILTINS} == in_mean
+
+
 @given(st.integers(min_value=0, max_value=2**31), st.data())
 @settings(max_examples=25, deadline=None)
 def test_integral_below_split_of_min_form(seed, data):

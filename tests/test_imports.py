@@ -2,13 +2,17 @@
 
 The check reads each module's syntax tree: an imported name counts as used
 when it appears as a name anywhere in the module, or in the module's
-``__all__``.  ``from __future__`` imports are directives, not names.
+``__all__``.  ``from __future__`` imports are directives, not names.  The
+modules imported are these files, so the checks that read the sources hold
+for an installed package too.
 """
 
 import ast
 from pathlib import Path
 
 import pytest
+
+import semint
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "semint"
 MODULES = sorted(PACKAGE.glob("*.py"))
@@ -37,6 +41,14 @@ def exported_names(tree: ast.Module) -> set[str]:
 
 def test_the_package_has_modules():
     assert PACKAGE / "integral.py" in MODULES
+
+
+def test_the_imported_modules_are_the_sources_byte_for_byte():
+    imported = Path(semint.__file__).resolve().parent
+    names = sorted(path.name for path in imported.glob("*.py"))
+    assert names == [path.name for path in MODULES]
+    for name in names:
+        assert (imported / name).read_bytes() == (PACKAGE / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
