@@ -4,9 +4,9 @@ Exit codes: 0 for success or a passing verdict, 1 for a failing verdict,
 2 for input errors (malformed JSON, schema problems, violated input
 invariants, bad flags) and for sizes too large to allocate (code
 ``memory``).  Reports go to stdout; exit-2 error objects
-{"code", "message", "location"} go to stderr.  Numbers are serialized with
-17 significant digits so reports round-trip losslessly and identical inputs
-produce byte-identical bytes.
+{"code", "message", "location"} go to stderr.  Reports and CSV cells spell
+each float as its shortest round-trip ``repr`` (``0.1``, ``1.0``, ``1e-09``),
+so every value reads back exactly and identical inputs produce identical bytes.
 """
 
 from __future__ import annotations
@@ -47,50 +47,19 @@ DEFAULT_HORIZON = 50
 
 
 def _fmt_float(x: float) -> str:
-    """17 significant digits; NaN and +-inf have no JSON spelling, so they are refused."""
+    """The shortest text that reads back as ``x``; NaN and +-inf have no JSON spelling, so they are refused."""
     x = float(x)
     if not math.isfinite(x):
         raise DomainError(f"cannot serialize the non-finite number {x!r} as JSON")
-    return format(x, ".17g")
+    return repr(x)
 
 
 def canonical_json(doc) -> str:
-    """Serialize with fixed key order, compact separators, 17-digit floats, one trailing newline."""
-    parts: list[str] = []
-    _emit(doc, parts)
-    parts.append("\n")
-    return "".join(parts)
-
-
-def _emit(x, out: list[str]) -> None:
-    if x is None:
-        out.append("null")
-    elif isinstance(x, bool):
-        out.append("true" if x else "false")
-    elif isinstance(x, (int, np.integer)):
-        out.append(str(int(x)))
-    elif isinstance(x, (float, np.floating)):
-        out.append(_fmt_float(x))
-    elif isinstance(x, str):
-        out.append(json.dumps(x))
-    elif isinstance(x, dict):
-        out.append("{")
-        for i, (key, value) in enumerate(x.items()):
-            if i:
-                out.append(",")
-            out.append(json.dumps(str(key)))
-            out.append(":")
-            _emit(value, out)
-        out.append("}")
-    elif isinstance(x, (list, tuple)):
-        out.append("[")
-        for i, value in enumerate(x):
-            if i:
-                out.append(",")
-            _emit(value, out)
-        out.append("]")
-    else:
-        raise TypeError(f"cannot serialize {type(x).__name__}")
+    """Serialize with fixed key order, compact separators, shortest round-trip floats, one trailing newline."""
+    try:
+        return json.dumps(doc, separators=(",", ":"), allow_nan=False) + "\n"
+    except ValueError:  # the encoder's refusal of NaN and +-inf
+        raise DomainError("cannot serialize a non-finite number (NaN or +-inf) as JSON") from None
 
 
 def _print_report(doc) -> None:
@@ -621,7 +590,7 @@ def run(argv: Sequence[str] | None = None) -> int:
     except OSError as e:
         _print_error("io", str(e), getattr(e, "filename", None) or "")
         return 2
-    except MemoryError as e:  # numpy refuses an allocation, say for a huge --grid-points or --resolution
+    except MemoryError as e:  # numpy refuses an allocation, say a --grid-points or --resolution within its bound
         _print_error("memory", str(e) or "out of memory")
         return 2
 

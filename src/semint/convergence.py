@@ -51,7 +51,7 @@ import numpy as np
 
 from semint.capacity import Capacity, FiniteSpace, random_capacity
 from semint.errors import BadGridError, BadRateError, DomainError, _checked_int, _float, _float_array, _require_types
-from semint.integral import _level_chains, integrate
+from semint.integral import MAX_GRID_POINTS, _level_chains, integrate
 from semint.measurable import _SMALLEST_POSITIVE, MeasurableFn, _level_masks, _require_same_space, residual
 from semint.semicopula import Semicopula
 
@@ -71,7 +71,7 @@ MODE_IN_MEAN = "in-mean"
 
 def default_t_grid(points: int = DEFAULT_T_GRID_SIZE) -> np.ndarray:
     """Log-spaced thresholds over [0.01, 1], dense near the small end."""
-    return np.logspace(-2.0, 0.0, _checked_int(points, "points", 0))
+    return np.logspace(-2.0, 0.0, _checked_int(points, "points", 0, MAX_GRID_POINTS))
 
 
 def default_tail_start(horizon: int) -> int:

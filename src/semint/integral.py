@@ -159,6 +159,10 @@ def integrate(s: Semicopula, c: Capacity, f: MeasurableFn) -> IntegralResult:
     return IntegralResult(float(best), float(best_t), len(levels))
 
 
+# the most grid points a uniform or log-spaced threshold grid may have: 10**8 float64s are a 763 MiB grid,
+# and the chunked profile adds little to it (about 78 MiB at 10**7 points)
+MAX_GRID_POINTS = 10**8
+
 # grid thresholds _grid_profile evaluates at once: a few 512 KiB temporaries per chunk
 _ORACLE_CHUNK = 1 << 16
 
@@ -175,7 +179,7 @@ def _grid_profile(s: Semicopula, c: Capacity, f: MeasurableFn, grid_points: int)
     """
     _require_types(("s", s, Semicopula), ("c", c, Capacity), ("f", f, MeasurableFn))
     _require_same_space(c, f)
-    t = np.linspace(0.0, 1.0, _checked_int(grid_points, "grid_points", 2))
+    t = np.linspace(0.0, 1.0, _checked_int(grid_points, "grid_points", 2, MAX_GRID_POINTS))
     best = best_t = None
     for start in range(0, t.size, _ORACLE_CHUNK):
         chunk = t[start : start + _ORACLE_CHUNK]

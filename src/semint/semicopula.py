@@ -26,6 +26,10 @@ from semint.errors import DomainError, _checked_int, _float_array, _kept_array, 
 
 AXIOM_TOL = 1e-12
 
+# the finest lattice a semicopula is sampled or checked on: validate_semicopula keeps about 27 B per lattice
+# point, so about 430 MiB at 4096 (tracemalloc peaks of 25.8 MiB at 1000 and 103 MiB at 2000)
+MAX_RESOLUTION = 4096
+
 BUILTIN_KINDS = ("min", "product", "prodmax", "lukasiewicz")
 
 # entries per chunk in a table semicopula's evaluation: about 2 MiB of temporaries, whatever the size
@@ -109,7 +113,7 @@ class Semicopula:
     @classmethod
     def from_function(cls, fn: Callable[[float, float], float], resolution: int) -> "Semicopula":
         """Sample a candidate aggregation onto a lattice table."""
-        axis = np.linspace(0.0, 1.0, _checked_int(resolution, "resolution", 1) + 1)
+        axis = np.linspace(0.0, 1.0, _checked_int(resolution, "resolution", 1, MAX_RESOLUTION) + 1)
         return cls.from_grid([[fn(a, b) for b in axis] for a in axis])
 
     def evaluate(self, a, b):
@@ -252,7 +256,7 @@ def validate_semicopula(s: Semicopula, check_resolution: int) -> ValidationRepor
     the derived consequences S(a,b) <= min(a,b) and S(x,0) = 0 = S(0,x).
     """
     _require_types(("s", s, Semicopula))
-    check_resolution = _checked_int(check_resolution, "check_resolution", 2)
+    check_resolution = _checked_int(check_resolution, "check_resolution", 2, MAX_RESOLUTION)
     axis = np.linspace(0.0, 1.0, check_resolution + 1)
     grid_a, grid_b = np.broadcast_arrays(axis[:, None], axis[None, :])  # read-only views: no lattice copy
     values = s._evaluate_array(grid_a, grid_b)

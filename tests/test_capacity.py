@@ -217,6 +217,9 @@ def test_additive_rejects_bad_weights():
         Capacity.from_additive(FiniteSpace(2), [0.0, 0.0])
     with pytest.raises(BadWeightsError):
         Capacity.from_additive(FiniteSpace(2), [0.7, 0.4])  # sums to 1.1
+    with pytest.raises(DomainError) as err:
+        Capacity.from_additive(FiniteSpace(2), [0.5, 0.25, 0.25])  # one weight too many
+    assert type(err.value) is DomainError and str(err.value) == "need 2 weights, got shape (3,)"
 
 
 def test_additive_rejects_non_finite_weights():

@@ -1,12 +1,13 @@
 import json
 import math
+import struct
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from semint import DomainError, cli
+from semint import MAX_GRID_POINTS, MAX_RESOLUTION, DomainError, cli, integral
 from semint.cli import _parse_point_instance, canonical_json
 from semint.integral import IntegralResult, _grid_profile
 
@@ -53,7 +54,7 @@ TIE = {
 
 GOLDEN = [
     (INSTANCE, b'{"value":0.5,"argmax_t":0.5,"method":"exact","candidates_inspected":4}\n'),
-    (TIE, b'{"value":0.20000000000000001,"argmax_t":0.20000000000000001,"method":"exact","candidates_inspected":2}\n'),
+    (TIE, b'{"value":0.2,"argmax_t":0.2,"method":"exact","candidates_inspected":2}\n'),
 ]
 
 
@@ -133,11 +134,34 @@ def memory_error_of(capsys) -> dict:
     return doc
 
 
-def test_an_oracle_grid_too_large_to_allocate_exits_two(tmp_path, capsys):
-    # 10**15 float64 grid points take 7.1 PiB, far more than a process can map, so numpy's allocation is
-    # refused before any memory is touched
+def test_an_oracle_grid_too_large_to_allocate_exits_two(tmp_path, capsys, monkeypatch):
+    # with the bound raised, 10**15 float64 grid points take 7.1 PiB, far more than a process can map, so
+    # numpy's allocation is refused before any memory is touched
+    monkeypatch.setattr(integral, "MAX_GRID_POINTS", 10**15)
     assert cli.run(["oracle", write(tmp_path, "i.json", INSTANCE), "--grid-points", str(10**15)]) == 2
     assert "Unable to allocate" in memory_error_of(capsys)["message"]
+
+
+@pytest.mark.parametrize(
+    "past",
+    ["one-past", 2**63 - 2, 2**63 - 1, 2**63, 10**399],
+    ids=["one-past", "2**63-2", "2**63-1", "2**63", "10**399"],
+)
+@pytest.mark.parametrize(
+    "command, flag, name, low, high",
+    [
+        ("oracle", "--grid-points", "grid_points", 2, MAX_GRID_POINTS),
+        ("check-semicopula", "--resolution", "check_resolution", 2, MAX_RESOLUTION),
+    ],
+    ids=["oracle", "check-semicopula"],
+)
+def test_a_grid_size_past_its_bound_is_a_domain_error(tmp_path, capsys, command, flag, name, low, high, past):
+    past = high + 1 if past == "one-past" else past
+    assert cli.run([command, write(tmp_path, "i.json", INSTANCE), flag, str(past)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    message = f"{name} must be in {low}..{high}, got {past}"
+    assert json.loads(err) == {"code": "domain", "message": message, "location": ""}
 
 
 def test_a_semicopula_check_out_of_memory_exits_two(tmp_path, capsys, monkeypatch):
@@ -257,8 +281,8 @@ def test_converge_constant_rate_report(tmp_path):
     lines = csv_path.read_text().splitlines()
     assert lines[0] == "n,strict_value,mean_value,survival_at_t_min"
     assert len(lines) == 101
-    assert lines[1] == "1,1,1,1"
-    assert lines[100].startswith("100,1,0.01")
+    assert lines[1] == "1,1.0,1.0,1.0"
+    assert lines[100].startswith("100,1.0,0.01")
 
 
 def test_converge_explicit_sequence_passes(tmp_path):
@@ -567,11 +591,19 @@ def test_every_report_reparses_as_json(tmp_path):
         json.loads(proc.stdout)  # must parse cleanly
 
 
-def test_canonical_json_formats_17_digits():
-    assert canonical_json({"x": 1 / 3}) == '{"x":0.33333333333333331}\n'
+def test_canonical_json_writes_shortest_round_trip_floats():
+    assert canonical_json({"x": 1 / 3}) == '{"x":0.3333333333333333}\n'
     assert canonical_json([True, None, 3]) == "[true,null,3]\n"
     back = json.loads(canonical_json({"x": 0.1 + 0.2}))
     assert back["x"] == 0.1 + 0.2  # lossless round-trip
+
+
+@pytest.mark.parametrize("v", [0.0, -0.0, 1.0, 5e-324, 1 - 2**-53, 0.1 + 0.2, 1e-9])
+def test_canonical_json_writes_each_float_as_its_repr_and_reads_it_back_bit_for_bit(v):
+    text = canonical_json({"x": v})
+    assert text == f'{{"x":{v!r}}}\n'
+    back = json.loads(text)["x"]
+    assert type(back) is float and struct.pack("<d", back) == struct.pack("<d", v)  # -0.0 keeps its sign
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float64("nan"), np.float64("-inf")])
@@ -590,6 +622,44 @@ def test_a_non_finite_report_value_exits_two_with_strict_json(tmp_path, monkeypa
 
 # ---------------------------------------------------------------------------
 # error contract
+
+
+# the parse layer's schema errors: (subcommand, document, message, location)
+SCHEMA_ERRORS = {
+    "capacity-kind": ("integrate", dict(INSTANCE, capacity={"kind": "nope"}), "unknown capacity kind 'nope'",
+                      "/capacity/kind"),
+    "semicopula-kind": ("integrate", dict(INSTANCE, semicopula={"kind": "nope"}), "unknown semicopula kind 'nope'",
+                        "/semicopula/kind"),
+    "sequence-kind": ("converge", dict(converge_instance(), sequence={"kind": "nope"}),
+                      "unknown sequence kind 'nope'", "/sequence/kind"),
+    "missing-key": ("integrate", {k: v for k, v in INSTANCE.items() if k != "function"},
+                    "missing required key 'function'", "/"),
+    "object": ("integrate", [INSTANCE], "expected an object, got list", "/"),
+    "array": ("integrate", dict(INSTANCE, function={"values": 0.5}), "expected an array, got float",
+              "/function/values"),
+    "integer": ("integrate", dict(INSTANCE, space={"n": 4.0}), "expected an integer, got float", "/space/n"),
+    "declared-n": ("check-capacity", {"space": {"n": 2}, "capacity": {"kind": "table", "n": 3, "values": [0.0, 1.0]}},
+                   "capacity declares n=3 but the space has 2 points", "/capacity/n"),
+    "table-values": ("check-capacity", {"kind": "table", "n": 2, "values": [0.0, 0.5, 1.0]},
+                     "need 4 values for n=2, got 3", "/values"),
+    "weights": ("integrate", dict(INSTANCE, capacity={"kind": "additive", "weights": [0.5, 0.5]}),
+                "need 4 weights, got 2", "/capacity/weights"),
+    "function-values": ("integrate", dict(INSTANCE, function={"values": [0.5]}), "need 4 values, got 1",
+                        "/function/values"),
+    "t_grid": ("converge", converge_instance(t_grid=[]), "t_grid must be nonempty", "/params/t_grid"),
+    "terms": ("converge", dict(converge_instance(), sequence={"kind": "explicit", "terms": [], "limit": [0.0] * 4}),
+              "terms must be nonempty", "/sequence/terms"),
+}
+
+
+@pytest.mark.parametrize("command, doc, message, location", SCHEMA_ERRORS.values(), ids=SCHEMA_ERRORS.keys())
+def test_each_schema_error_of_the_parse_layer_is_one_error_object_byte_for_byte(
+    tmp_path, capsys, command, doc, message, location
+):
+    assert cli.run([command, write(tmp_path, "d.json", doc)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f'{{"code":"schema","message":"{message}","location":"{location}"}}\n'
 
 
 def test_malformed_json_exits_two(tmp_path):

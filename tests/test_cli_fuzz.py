@@ -10,8 +10,10 @@ object, on stderr exactly when the code is 2.
 Sizes stay small so that no run allocates much: ``n`` and ``--space-size``
 are at most 6, and every other int flag and params value is at most 50 or
 huge.  A huge horizon, in params or a flag, must be refused by the
-generators' ``MAX_HORIZON`` bound before any term is built, and a huge
-``--cases`` by ``MAX_CASES`` before any case runs.
+generators' ``MAX_HORIZON`` bound before any term is built, a huge
+``--cases`` by ``MAX_CASES`` before any case runs, and a huge
+``--grid-points`` or ``--resolution`` by ``MAX_GRID_POINTS`` or
+``MAX_RESOLUTION`` before the grid is allocated.
 """
 
 import contextlib
@@ -144,8 +146,8 @@ SIZES = st.sampled_from([-2, -1, 0, 1, 2, 50])
 HORIZONS = st.sampled_from([-2, -1, 0, 1, 2, 50, 2**63, 10**399])
 FLAGS = {
     "integrate": [],
-    "oracle": [flag("--grid-points", SIZES)],
-    "check-semicopula": [flag("--resolution", SIZES)],
+    "oracle": [flag("--grid-points", SIZES | HUGE_INTS)],
+    "check-semicopula": [flag("--resolution", SIZES | HUGE_INTS)],
     "check-capacity": [],
     "converge": [],
     "counterexample": [

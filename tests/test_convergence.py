@@ -11,7 +11,9 @@ from semint import (
     BUILTINS,
     DEFAULT_EPSILON,
     MAX_CASES,
+    MAX_GRID_POINTS,
     MAX_HORIZON,
+    MAX_RESOLUTION,
     MIN,
     BadGridError,
     BadRateError,
@@ -532,14 +534,14 @@ INT_BOUNDS = {
     "random_audit-horizon": (
         lambda x: random_audit(SPACE, BUILTINS, 1, 1, horizon=x), 1, 0, "horizon must be in 1..100000, got 0"
     ),
-    "default_t_grid": (default_t_grid, 0, -1, "points must be >= 0, got -1"),
+    "default_t_grid": (default_t_grid, 0, -1, "points must be in 0..100000000, got -1"),
     "default_tail_start": (default_tail_start, 1, 0, "horizon must be >= 1, got 0"),
     "integrate_grid_oracle": (
         lambda x: integrate_grid_oracle(MIN, UNIFORM, MeasurableFn.constant(SPACE, 0.5), x), 2, 1,
-        "grid_points must be >= 2, got 1",
+        "grid_points must be in 2..100000000, got 1",
     ),
-    "from_function": (lambda x: Semicopula.from_function(min, x), 1, 0, "resolution must be >= 1, got 0"),
-    "validate_semicopula": (lambda x: validate_semicopula(MIN, x), 2, 1, "check_resolution must be >= 2, got 1"),
+    "from_function": (lambda x: Semicopula.from_function(min, x), 1, 0, "resolution must be in 1..4096, got 0"),
+    "validate_semicopula": (lambda x: validate_semicopula(MIN, x), 2, 1, "check_resolution must be in 2..4096, got 1"),
     "to_json_dict": (lambda x: failing_report().to_json_dict(x), 0, -1, "max_listed must be >= 0, got -1"),
     "check_mask-low": (SPACE.check_mask, 0, -1, "mask -0x1 has bits outside a 4-point space"),
     "check_mask-high": (SPACE.check_mask, 15, 16, "mask 0x10 has bits outside a 4-point space"),
@@ -561,6 +563,34 @@ def test_a_generated_sequence_is_refused_past_the_horizon_cap_before_any_term_is
     with pytest.raises(DomainError) as err:
         INT_ARGUMENTS[key][1](past)
     assert str(err.value) == f"horizon must be in 1..100000, got {past}"
+
+
+# INT_ARGUMENTS key of a grid size -> its range
+GRID_BOUNDS = {
+    "default_t_grid": (0, MAX_GRID_POINTS),
+    "integrate_grid_oracle": (2, MAX_GRID_POINTS),
+    "from_function": (1, MAX_RESOLUTION),
+    "validate_semicopula": (2, MAX_RESOLUTION),
+}
+
+
+@pytest.mark.parametrize(
+    "past", ["one-past", 2**63 - 1, 2**63, 10**399], ids=["one-past", "2**63-1", "2**63", "10**399"],
+)
+@pytest.mark.parametrize("key", GRID_BOUNDS)
+def test_a_grid_size_is_refused_past_its_bound_before_the_grid_is_allocated(key, past):
+    # at the bound itself a grid takes hundreds of MiB, so only the refusal is run here
+    (name, call), (low, high) = INT_ARGUMENTS[key], GRID_BOUNDS[key]
+    past = high + 1 if past == "one-past" else past
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError) as err:
+            call(past)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == f"{name} must be in {low}..{high}, got {past}"
+    assert peak < 1 << 20
 
 
 class _FirstCase(Exception):
