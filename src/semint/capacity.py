@@ -29,23 +29,31 @@ floating-point output is monotone without tolerance.  ``validate_table``
 runs one sweep of this scan, ``_faults``, that both accepts a capacity and
 lists every violation of any other table.
 
+The random builder's envelope and ``validate_table``'s accepting sweep are
+one cache-blocked walk of these passes, ``_walk``.  A pass ``i`` below
+``b = _BLOCK_POINTS`` (17) pairs masks inside one aligned block of ``2**b``
+entries (1 MiB), so each block takes all of those passes while it is in L2,
+and only the passes from ``b`` on stream the whole table: at n = 22, one
+trip over the table and 5 streaming passes instead of 22.  Each entry meets
+its passes in the same order as in whole-table passes, so the tables are
+the same bits, and the sweep finds the same first failing pass.
+
 Every full-table pass runs on two threads, through ``_in_halves``.  The
-random builder's envelope splits the table by its top point: passes
-``0 .. n-2`` pair masks within one half, so each thread takes every one of
-them on its own half, and the top pass, which pairs the halves, is then
-split along its offsets.  ``_faults`` splits each pass's comparison into
-the two halves of one bool buffer, and one ``flatnonzero`` over the whole
-buffer reads a pass's drops in mask order.  Each prefix-doubling step
-splits its slice and the prefix it reads, ``from_additive``'s
-normalization splits the table, and ``_interp_monotone`` splits its input
-and output, each half chunked on its own thread.  Every pass is
-elementwise over disjoint slices and the passes keep their order on each
-entry, so tables and violation lists are bit for bit the serial ones.
-numpy's ufuncs release the GIL, so the halves run at once.  The split is
-skipped below ``_SPLIT_ENTRIES`` entries per view (n < 20 for a comparison
-pass) and when the process may use one CPU only, which ``_TWO_CPUS`` reads
-once at import.  ``_faults``' [0,1] range check stays serial: it runs only
-on a table that is not a capacity.
+walk gives each thread half of the blocks, then splits each streaming pass
+along its blocks or, at the top point, its offsets.  ``_faults``'
+diagnosis splits each pass's comparison into the two halves of one bool
+buffer, and one ``flatnonzero`` over the whole buffer reads a pass's drops
+in mask order.  Each prefix-doubling step splits its slice and the prefix
+it reads, ``from_additive``'s normalization splits the table, and
+``_interp_monotone`` splits its input and output, each half chunked on its
+own thread.  Every pass is elementwise over disjoint slices and the passes
+keep their order on each entry, so tables and violation lists are bit for
+bit the serial ones.  numpy's ufuncs release the GIL, so the halves run at
+once.  The split is skipped below ``_SPLIT_ENTRIES`` entries per view
+(n < 20 for a streaming pass, n < 19 for the blocks) and when the process
+may use one CPU only, which ``_TWO_CPUS`` reads once at import.
+``_faults``' [0,1] range check stays serial: it runs only on a table that
+is not a capacity.
 
 All capacity objects are immutable after construction and safe to share
 across threads.
@@ -86,6 +94,14 @@ _INTERP_CHUNK = 1 << 14
 # at n = 21 66 / 123 and 36 / 80 ms (numpy 2.4, 2 vCPUs, medians of 15)
 _SPLIT_ENTRIES = 1 << 19
 
+# points per block of _walk: the passes below it run block by block over 2**17 entries (1 MiB of float64, in
+# a 2 MiB L2 per core), and only the later ones stream the whole table.  At n = 22 (numpy 2.4, 2 vCPUs, medians
+# of 21, each alternated with whole-table passes, which took 66-74 ms for the envelope and 65-74 ms for
+# validate_table on a capacity), blocks of 2**14 / 2**15 / 2**16 / 2**17 / 2**18 / 2**19 took 100 / 66 / 57-59 /
+# 52-56 / 53-56 / 55 ms for the envelope and 129 / 70 / 49-52 / 41-44 / 44-46 / 45 ms for validate_table: a
+# block pass costs a few microseconds of Python, so smaller blocks are slower
+_BLOCK_POINTS = 17
+
 
 def _usable_cpus() -> int:
     """The CPUs this process may run on: its affinity mask where the platform has one, else every CPU."""
@@ -114,7 +130,10 @@ def _in_halves(fn, *views: np.ndarray) -> None:
     made there cost about 4 MiB more peak RSS per ``big-tables`` run at
     n = 22, so the caller allocates every array ``fn`` writes and passes it
     as a view; temporaries of a fixed size, such as ``_interp_monotone``'s
-    128 KiB chunks, are fine.
+    128 KiB chunks, are fine.  ``_walk`` hands over its blocks with a row of
+    the caller's bool buffer and of its ``firsts`` per block, so each thread
+    takes every pass below ``_BLOCK_POINTS`` on its half of the blocks, one
+    block after another, and writes only into those rows.
 
     With fewer than ``_SPLIT_ENTRIES`` entries per view, or one usable CPU
     (``_TWO_CPUS``), it is one call ``fn(*views)`` on this thread.
@@ -219,12 +238,13 @@ def _faults(table: np.ndarray, points: int):
     failing pass on the masks ``A`` without ``i`` where mu(A) > mu(A + {i}),
     in increasing order.
 
-    One sweep over ``_lattice_pairs`` accepts or diagnoses, each pass writing
-    one reused C-ordered bool buffer in halves through ``_in_halves``.  While
-    the endpoints are 0 and 1 and every pass so far holds, a pass compares
-    ``lo <= hi``.  The diagnosis starts at the first pass that fails, or at
-    pass 0 if an endpoint is wrong: the range and normalization groups, then
-    ``lo > hi`` and one ``flatnonzero`` for this pass and each later one.
+    One sweep accepts or diagnoses.  While the endpoints are 0 and 1, the
+    blocked walk ``_walk`` compares ``lo <= hi`` into one reused bool buffer
+    and returns the first pass that fails.  The diagnosis starts at that
+    pass, or at pass 0 if an endpoint is wrong: the range and normalization
+    groups, then ``lo > hi`` over the whole table, in halves through
+    ``_in_halves``, and one ``flatnonzero`` for this pass and each later
+    one.  No pass below the first failing one is compared twice.
 
     A table that never fails is a capacity, found with no range pass and no
     index array.  That is exact: NaN fails every ``<=``, and every mask lies
@@ -232,20 +252,15 @@ def _faults(table: np.ndarray, points: int):
     ``table[-1] = 1``, so no entry leaves [0,1].  Conversely a capacity
     passes every ``lo <= hi``.
     """
-    normalized = table[0] == 0.0 and table[-1] == 1.0
     buffer = np.empty(table.size // 2, dtype=bool)
-    diagnosing = False
-    for i, lo, hi, order in _lattice_pairs(table, points):
+    first = _walk(table, points, np.less_equal, buffer) if table[0] == 0.0 and table[-1] == 1.0 else 0
+    if first == points:
+        return
+    yield "domain", np.flatnonzero(~((table >= 0.0) & (table <= 1.0))), None
+    boundary = [mask for mask, want in ((0, 0.0), (table.size - 1, 1.0)) if table[mask] != want]
+    yield "not-normalized", np.array(boundary, dtype=np.int64), None
+    for i, lo, hi, order in _lattice_pairs(table, points, first):
         out = buffer.reshape(lo.shape)
-        if not diagnosing:
-            if normalized:
-                _in_halves(lambda lo, hi, out: np.less_equal(lo, hi, out=out, order=order), lo, hi, out)
-                if out.all():
-                    continue
-            diagnosing = True
-            yield "domain", np.flatnonzero(~((table >= 0.0) & (table <= 1.0))), None
-            boundary = [mask for mask, want in ((0, 0.0), (table.size - 1, 1.0)) if table[mask] != want]
-            yield "not-normalized", np.array(boundary, dtype=np.int64), None
         _in_halves(lambda lo, hi, out: np.greater(lo, hi, out=out, order=order), lo, hi, out)
         k = np.flatnonzero(out)  # k = block * 2**i + offset; its mask is block * 2**(i+1) + offset
         yield "not-monotone", k + (k >> i << i), i
@@ -294,8 +309,8 @@ def _dense_table(space: FiniteSpace, values: Sequence[float] | np.ndarray) -> np
     return table
 
 
-def _lattice_pairs(table: np.ndarray, points: int):
-    """Yield ``(i, lo, hi, order)`` for each point ``i``: views of ``table`` pairing mask A with A + {i}.
+def _lattice_pairs(table: np.ndarray, points: int, start: int = 0):
+    """Yield ``(i, lo, hi, order)`` for each point ``i`` from ``start`` below ``points``: views pairing A with A + {i}.
 
     ``table.reshape(-1, 2, 1 << i)`` puts mask ``(block << (i+1)) | (half << i) | offset``
     at ``[block, half, offset]``, so ``lo[block, offset]`` is a mask without ``i`` and
@@ -315,12 +330,67 @@ def _lattice_pairs(table: np.ndarray, points: int):
     "K".  The order changes no value, only the order in which elementwise
     results are computed.
     """
-    for i in range(points):
+    for i in range(start, points):
         pairs = table.reshape(-1, 2, 1 << i)
         lo, hi = pairs[:, 0, :], pairs[:, 1, :]
         if lo.shape[0] == 1:  # the top point pairs the table's two halves: one block, so _in_halves splits its offsets
             lo, hi = lo[0], hi[0]
         yield i, lo, hi, "F" if i in (1, 2) else "K"
+
+
+def _walk(table: np.ndarray, points: int, ufunc, buffer: np.ndarray | None = None) -> int:
+    """Run a lattice pass of ``ufunc`` per point below ``points`` over ``table`` in blocks; return the first that fails.
+
+    Without ``buffer`` each pass writes ``ufunc(hi, lo)`` into ``hi`` in place
+    and none fails: with ``np.maximum`` the walk is the monotone envelope.
+    With ``buffer``, a bool array of ``table.size // 2`` entries, each pass
+    writes ``ufunc(lo, hi)`` into it and fails unless every entry is true; the
+    walk stops at the first failing pass and returns it, or ``points``.
+
+    A pass ``i`` below ``b = _BLOCK_POINTS`` pairs masks inside one aligned
+    block of ``2**b`` entries, so each block takes all of those passes in
+    turn while it stays in cache, and only the passes from ``b`` on stream
+    the whole table, each split through ``_in_halves``.  The blocks go
+    through ``_in_halves`` too, each thread taking half of them and comparing
+    into the first block-sized row of its half of ``buffer``.  Every entry
+    still meets its passes in increasing order, so the table is bit for bit
+    the one of whole-table passes.  A block compares only the passes below
+    the smallest failing pass its thread has found so far and writes that
+    bound into ``firsts``; a pass is skipped only past a pass that fails, so
+    the smallest bound is the first failing pass over the whole table.
+    For ``points <= _BLOCK_POINTS`` the table is one block, and the walk is
+    one whole-table pass after another.
+    """
+    if points <= _BLOCK_POINTS:
+        return _passes(table, 0, points, ufunc, buffer, split=True)
+    low = _BLOCK_POINTS
+    blocks = table.reshape(-1, 1 << low)
+    firsts = np.empty(blocks.shape[0], dtype=np.intp)
+    rows = () if buffer is None else (buffer.reshape(blocks.shape[0], -1),)
+
+    def walk_blocks(blocks: np.ndarray, firsts: np.ndarray, *rows: np.ndarray) -> None:
+        limit = low
+        for k, block in enumerate(blocks):
+            limit = _passes(block, 0, limit, ufunc, rows[0][0] if rows else None, split=False)
+            firsts[k] = limit
+
+    _in_halves(walk_blocks, blocks, firsts, *rows)
+    first = min(firsts.tolist())
+    return first if first < low else _passes(table, low, points, ufunc, buffer, split=True)
+
+
+def _passes(table: np.ndarray, start: int, stop: int, ufunc, buffer: np.ndarray | None, split: bool) -> int:
+    """Run ``_walk``'s passes ``start .. stop-1`` over ``table``, each in halves if ``split``.
+
+    Returns the first pass that fails, or ``stop``.
+    """
+    run = _in_halves if split else lambda fn, *views: fn(*views)
+    for i, lo, hi, order in _lattice_pairs(table, stop, start):
+        a, b, out = (hi, lo, hi) if buffer is None else (lo, hi, buffer.reshape(lo.shape))
+        run(lambda a, b, out: ufunc(a, b, out=out, order=order), a, b, out)
+        if buffer is not None and not out.all():
+            return i
+    return stop
 
 
 def _doubling_table(w: np.ndarray, op) -> np.ndarray:
@@ -501,29 +571,16 @@ def _interp_monotone(samples: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _envelope(table: np.ndarray, points: int) -> None:
-    """Raise each entry of ``table`` to the max over the subsets of its mask that differ below ``points``, in place.
-
-    One lattice pass per point below ``points``; with every point, that is the
-    max over all its subsets, the monotone envelope.
-    """
-    for _, lo, hi, order in _lattice_pairs(table, points):
-        np.maximum(hi, lo, out=hi, order=order)
-
-
 def random_capacity(space: FiniteSpace, rng: np.random.Generator) -> Capacity:
     """Draw a random capacity: i.i.d. uniforms per subset, monotone envelope, fixed boundaries.
 
-    The envelope step replaces each subset's draw with the max over its
-    subsets, so no rejection sampling is needed.
+    The envelope step, one blocked walk of ``np.maximum`` passes, replaces
+    each subset's draw with the max over its subsets, so no rejection
+    sampling is needed.
     """
     _require_types(("space", space, FiniteSpace), ("rng", rng, np.random.Generator))
     table = rng.random(space.num_subsets)
-    # passes 0..n-2 pair masks within one half of the table, the masks without and with the top point, so
-    # each half takes all of them on a thread of its own; the top pass pairs the halves, split along offsets
-    _in_halves(lambda half: _envelope(half, space.size - 1), table)
-    lo, hi = table.reshape(2, -1)
-    _in_halves(lambda hi, lo: np.maximum(hi, lo, out=hi), hi, lo)
+    _walk(table, space.size, np.maximum)
     table[0] = 0.0
     table[-1] = 1.0
     table.setflags(write=False)  # a fresh table nobody else holds: the constructor need not copy it

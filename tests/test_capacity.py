@@ -876,26 +876,84 @@ def scan_results(space: FiniteSpace, tables, seeds) -> list:
     return out
 
 
-@pytest.mark.parametrize("n", range(1, 11))
-def test_split_scans_match_the_serial_scans_bit_for_bit(monkeypatch, n):
+@pytest.mark.parametrize("n, block", [(n, block) for n in range(1, 11) for block in range(1, n + 1)])
+def test_split_scans_match_the_serial_scans_bit_for_bit(monkeypatch, n, block):
     space = FiniteSpace(n)
     rng = np.random.default_rng([n, 18])
     tables = [planted_table(n, rng) for _ in range(3)]
     seeds = (0, n, 2**40 + n)
-    serial = scan_results(space, tables, seeds)
+    monkeypatch.setattr(capacity_module, "_BLOCK_POINTS", MAX_POINTS)  # one block: whole-table passes
+    unblocked = scan_results(space, tables, seeds)
+    monkeypatch.setattr(capacity_module, "_BLOCK_POINTS", block)
+    assert scan_results(space, tables, seeds) == unblocked
     split_everywhere(monkeypatch)
-    assert scan_results(space, tables, seeds) == serial
+    assert scan_results(space, tables, seeds) == unblocked
 
 
 def test_scans_past_the_split_size_match_one_cpu_bit_for_bit(monkeypatch):
     space = FiniteSpace(20)  # every pass's views reach _SPLIT_ENTRIES
     assert space.num_subsets // 2 >= capacity_module._SPLIT_ENTRIES
+    block = capacity_module._BLOCK_POINTS
+    assert block < space.size  # the passes from `block` on stream the whole table
     table = random_capacity(space, np.random.default_rng(20)).table.copy()
     table[[3, 5 << 17, 1 << 19, (1 << 20) - 2]] = [1.0, 1.5, 0.0, math.nan]
+    # drops in passes 4 and 9 of the last block only: the entry raised to 1 has two supersets, both below 1
+    low = random_capacity(space, np.random.default_rng(21)).table.copy()
+    low[space.full_mask ^ 1 << 4 ^ 1 << 9] = 1.0
+    assert [v.element for v in validate_table(space, low)] == [4, 9]
+    # one drop, from {j} to {j, block}, in the first pass past the blocks
+    high = random_capacity(space, np.random.default_rng(22)).table.copy()
+    j = int(np.argmax(high[1 << np.arange(block)]))
+    high[1 << j | 1 << block] = high[1 << block]
+    assert [(v.mask, v.element) for v in validate_table(space, high)] == [(1 << j, block)]
+    tables = [table, low, high]
     monkeypatch.setattr(capacity_module, "_TWO_CPUS", True)
-    split = scan_results(space, [table], (7,))
+    split = scan_results(space, tables, (7,))
     monkeypatch.setattr(capacity_module, "_TWO_CPUS", False)
-    assert split == scan_results(space, [table], (7,))
+    assert split == scan_results(space, tables, (7,))
+    monkeypatch.setattr(capacity_module, "_BLOCK_POINTS", MAX_POINTS)
+    assert split == scan_results(space, tables, (7,))
+
+
+@pytest.mark.parametrize("split", [False, True])
+@pytest.mark.parametrize("last", [False, True])
+def test_the_diagnosis_starts_at_the_first_failing_pass(monkeypatch, split, last):
+    n, block = 12, 8
+    space = FiniteSpace(n)
+    w = np.ones(n)
+    w[3] = 0.25
+    table = Capacity.from_additive(space, w / w.sum()).table.copy()
+    # the only drop: mask a, in the first or the last block, one ulp above a + {3} and below its other supersets
+    a = (space.full_mask if last else (1 << block) - 1) ^ 1 << 3 ^ 1 << 0
+    table[a] = np.nextafter(table[a | 1 << 3], 2.0)
+    monkeypatch.setattr(capacity_module, "_BLOCK_POINTS", MAX_POINTS)
+    unblocked = validate_table(space, table)
+    assert [(v.kind, v.mask, v.element) for v in unblocked] == [("not-monotone", a, 3)]
+
+    compared = []  # (pass, pairs) per pass a scan compares; list.append is atomic, so both threads may add
+    real = capacity_module._lattice_pairs
+
+    def counted(table, points, start=0):
+        for i, lo, hi, order in real(table, points, start):
+            compared.append((i, lo.size))
+            yield i, lo, hi, order
+
+    monkeypatch.setattr(capacity_module, "_lattice_pairs", counted)
+    monkeypatch.setattr(capacity_module, "_BLOCK_POINTS", block)
+    if split:
+        split_everywhere(monkeypatch)
+    assert validate_table(space, table) == unblocked
+    pairs = [sum(size for i, size in compared if i == p) for p in range(n)]
+    half = space.num_subsets // 2
+    assert pairs[:3] == [half] * 3  # every pair below the first failing pass, once
+    assert pairs[block:] == [half] * (n - block)  # the streaming passes: the diagnosis alone
+    if last:
+        # pass 3 by every block, then the diagnosis; the later passes by every block but the last
+        assert pairs[3:block] == [2 * half] + [2 * half - (1 << block - 1)] * (block - 4)
+    elif split:  # the blocks after the first on its thread compare no pass from 3 on
+        assert all(half < count < 2 * half for count in pairs[3:block])
+    else:
+        assert pairs[3:block] == [half + (1 << block - 1)] + [half] * (block - 4)
 
 
 def test_small_tables_and_one_cpu_start_no_thread(monkeypatch):
@@ -1075,9 +1133,9 @@ def raised(call):
 ERRORS = {"domain": DomainError, "not-normalized": NotNormalizedError, "not-monotone": NotMonotoneError}
 
 
-@given(planted_faults(), st.booleans())
+@given(planted_faults(), st.booleans(), st.integers(1, 8))
 @settings(max_examples=300, deadline=None)
-def test_validation_lists_and_raises_the_full_diagnosis_for_every_planted_fault(planted, split):
+def test_validation_lists_and_raises_the_full_diagnosis_for_every_planted_fault(planted, split, block):
     n, table = planted
     space = FiniteSpace(n)
     # an independent reference: the range masks, the two endpoints, then the index-loop witnesses
@@ -1086,6 +1144,7 @@ def test_validation_lists_and_raises_the_full_diagnosis_for_every_planted_fault(
     want += [("not-normalized", mask, None) for mask, value in ends if table[mask] != value]
     want += [("not-monotone", mask, i) for mask, i in ref_monotone_witnesses(n, table)]
     with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(capacity_module, "_BLOCK_POINTS", min(block, n))
         if split:
             split_everywhere(patch)
         listed = validate_table(space, table)
