@@ -29,14 +29,26 @@ floating-point output is monotone without tolerance.  ``validate_table``
 runs one sweep of this scan, ``_faults``, that both accepts a capacity and
 lists every violation of any other table.
 
-The random builder's envelope and ``validate_table``'s accepting sweep are
-one cache-blocked walk of these passes, ``_walk``.  A pass ``i`` below
-``b = _BLOCK_POINTS`` (17) pairs masks inside one aligned block of ``2**b``
-entries (1 MiB), so each block takes all of those passes while it is in L2,
-and only the passes from ``b`` on stream the whole table: at n = 22, one
-trip over the table and 5 streaming passes instead of 22.  Each entry meets
-its passes in the same order as in whole-table passes, so the tables are
-the same bits, and the sweep finds the same first failing pass.
+The random builder's envelope, ``_envelope``, and ``validate_table``'s
+accepting sweep, ``_walk``, run these passes cache-blocked.  A pass ``i``
+below ``b = _BLOCK_POINTS`` (17) pairs masks inside one aligned block of
+``2**b`` entries (1 MiB), so each block takes all of those passes while it
+is in L2, and only the passes from ``b`` on stream the whole table: at
+n = 22, one trip over the table and 5 streaming passes instead of 22.  Each
+entry meets its passes in the same order as in whole-table passes, so the
+tables are the same bits, and the sweep finds the same first failing pass.
+The envelope draws the table one block at a time (``_drawn_blocks``), and
+a second thread runs the low passes on each block once it is drawn, so the
+draw no longer leaves a CPU idle.  In a block of the sweep, each pass below
+``_SHIFTED_POINTS`` (10) is one contiguous comparison of the block with
+itself shifted by ``2**i`` (``_shifted_pairs``), whose positions that are
+not lattice pairs are then masked out, instead of a strided pass whose
+rows are only ``2**i`` long.  At n = 22 on 2 vCPUs (numpy 2.4, medians of
+15 in four alternating processes against whole-block lattice passes after
+one whole-table draw), the draw and envelope took 41-53 ms against 52-64,
+``validate_table`` on a capacity 22-33 ms against 29-36, and
+``from_distortion`` (65 nodes, with the leaner ``_interp_monotone``) 23-36
+ms against 32-41.
 
 Every full-table pass runs on two threads, through ``_in_halves``.  The
 walk gives each thread half of the blocks, then splits each streaming pass
@@ -102,6 +114,14 @@ _SPLIT_ENTRIES = 1 << 19
 # block pass costs a few microseconds of Python, so smaller blocks are slower
 _BLOCK_POINTS = 17
 
+# passes below which a block of _walk's accepting sweep compares table[:-2**i] <= table[2**i:] in one contiguous
+# call instead of lattice rows only 2**i long.  Per 2**17-entry block (numpy 2.4, medians of 200), a lattice pass
+# took 54-182 us at i = 0..11 and 25-32 us from i = 12 on, a shifted one 34-53 us.  validate_table on an n = 22
+# capacity (2 vCPUs, medians of 25, interleaved) took 28.8 ms with no shifted pass, and 22.5 / 22.3 / 22.1 / 22.2 /
+# 22.1 / 23.8 ms with the passes below 8 / 10 / 11 / 12 / 13 / 14 shifted (quartiles about 2 ms wide): flat from 8
+# to 13, and 10 keeps _walk's pattern of the positions that are not lattice pairs at 10 KiB
+_SHIFTED_POINTS = 10
+
 
 def _usable_cpus() -> int:
     """The CPUs this process may run on: its affinity mask where the platform has one, else every CPU."""
@@ -131,9 +151,9 @@ def _in_halves(fn, *views: np.ndarray) -> None:
     n = 22, so the caller allocates every array ``fn`` writes and passes it
     as a view; temporaries of a fixed size, such as ``_interp_monotone``'s
     128 KiB chunks, are fine.  ``_walk`` hands over its blocks with a row of
-    the caller's bool buffer and of its ``firsts`` per block, so each thread
-    takes every pass below ``_BLOCK_POINTS`` on its half of the blocks, one
-    block after another, and writes only into those rows.
+    its ``firsts`` per block and the rows of the caller's bool buffer, so each
+    thread takes every pass below ``_BLOCK_POINTS`` on its half of the
+    blocks, one block after another, and writes only into its own rows.
 
     With fewer than ``_SPLIT_ENTRIES`` entries per view, or one usable CPU
     (``_TWO_CPUS``), it is one call ``fn(*views)`` on this thread.
@@ -253,7 +273,7 @@ def _faults(table: np.ndarray, points: int):
     passes every ``lo <= hi``.
     """
     buffer = np.empty(table.size // 2, dtype=bool)
-    first = _walk(table, points, np.less_equal, buffer) if table[0] == 0.0 and table[-1] == 1.0 else 0
+    first = _walk(table, points, buffer) if table[0] == 0.0 and table[-1] == 1.0 else 0
     if first == points:
         return
     yield "domain", np.flatnonzero(~((table >= 0.0) & (table <= 1.0))), None
@@ -338,58 +358,181 @@ def _lattice_pairs(table: np.ndarray, points: int, start: int = 0):
         yield i, lo, hi, "F" if i in (1, 2) else "K"
 
 
-def _walk(table: np.ndarray, points: int, ufunc, buffer: np.ndarray | None = None) -> int:
-    """Run a lattice pass of ``ufunc`` per point below ``points`` over ``table`` in blocks; return the first that fails.
+def _shifted_pairs(table: np.ndarray, start: int, stop: int):
+    """Yield ``(i, table[:-2**i], table[2**i:])`` for each point ``i`` from ``start`` below ``stop``.
 
-    Without ``buffer`` each pass writes ``ufunc(hi, lo)`` into ``hi`` in place
-    and none fails: with ``np.maximum`` the walk is the monotone envelope.
-    With ``buffer``, a bool array of ``table.size // 2`` entries, each pass
-    writes ``ufunc(lo, hi)`` into it and fails unless every entry is true; the
-    walk stops at the first failing pass and returns it, or ``points``.
+    The two views are ``lo`` and ``hi``: position ``p`` pairs ``table[p]``
+    with ``table[p + 2**i]``.  Where bit ``i`` of ``p`` is clear that is the
+    lattice pair of mask ``p`` and ``p + {i}`` that ``_lattice_pairs`` yields;
+    elsewhere the two masks are not a pair.
+    Both views are contiguous, so a ufunc over them runs one inner loop over
+    the whole table instead of rows only ``2**i`` long.
+    """
+    for i in range(start, stop):
+        yield i, table[: -(1 << i)], table[1 << i :]
+
+
+def _walk(table: np.ndarray, points: int, buffer: np.ndarray) -> int:
+    """Compare ``lo <= hi`` for every point below ``points`` over ``table`` in blocks; return the first pass that fails.
+
+    ``buffer`` is a bool array of ``table.size // 2`` entries.  Each pass
+    compares into it and fails unless every entry is true; the walk stops at
+    the first failing pass and returns it, or ``points``.
 
     A pass ``i`` below ``b = _BLOCK_POINTS`` pairs masks inside one aligned
     block of ``2**b`` entries, so each block takes all of those passes in
     turn while it stays in cache, and only the passes from ``b`` on stream
     the whole table, each split through ``_in_halves``.  The blocks go
     through ``_in_halves`` too, each thread taking half of them and comparing
-    into the first block-sized row of its half of ``buffer``.  Every entry
-    still meets its passes in increasing order, so the table is bit for bit
-    the one of whole-table passes.  A block compares only the passes below
-    the smallest failing pass its thread has found so far and writes that
-    bound into ``firsts``; a pass is skipped only past a pass that fails, so
-    the smallest bound is the first failing pass over the whole table.
-    For ``points <= _BLOCK_POINTS`` the table is one block, and the walk is
-    one whole-table pass after another.
+    into its half of ``buffer``.  That half holds a whole block once there are
+    four blocks (two on one thread), and then ``_passes`` compares the passes
+    below ``_SHIFTED_POINTS`` as shifted views.  Every pass is still checked
+    alone and in order.  A block compares only the passes below the smallest
+    failing pass its thread has found so far and writes that bound into
+    ``firsts``; a pass is skipped only past a pass that fails, so the
+    smallest bound is the first failing pass over the whole table.  For
+    ``points <= _BLOCK_POINTS`` the table is one block, and the walk is one
+    whole-table pass after another.
     """
     if points <= _BLOCK_POINTS:
-        return _passes(table, 0, points, ufunc, buffer, split=True)
-    low = _BLOCK_POINTS
+        return _passes(table, 0, points, buffer, split=True)
+    low, shifted = _BLOCK_POINTS, min(_SHIFTED_POINTS, _BLOCK_POINTS)
     blocks = table.reshape(-1, 1 << low)
     firsts = np.empty(blocks.shape[0], dtype=np.intp)
-    rows = () if buffer is None else (buffer.reshape(blocks.shape[0], -1),)
+    # off_lattice[i, p] marks the positions p whose bit i is set, over one period of every shifted pass.  It is made
+    # here, not at import: its temporaries grew the peak RSS of processes that never build a table past one block.
+    off_lattice = (np.arange(1 << shifted) >> np.arange(shifted)[:, None] & 1).astype(bool)
 
-    def walk_blocks(blocks: np.ndarray, firsts: np.ndarray, *rows: np.ndarray) -> None:
-        limit = low
+    def walk_blocks(blocks: np.ndarray, firsts: np.ndarray, rows: np.ndarray) -> None:
+        limit, scratch = low, rows.reshape(-1)
+        off = off_lattice if scratch.size >= blocks.shape[1] else None  # shifted passes need a whole block's room
         for k, block in enumerate(blocks):
-            limit = _passes(block, 0, limit, ufunc, rows[0][0] if rows else None, split=False)
+            limit = _passes(block, 0, limit, scratch, split=False, off_lattice=off)
             firsts[k] = limit
 
-    _in_halves(walk_blocks, blocks, firsts, *rows)
+    _in_halves(walk_blocks, blocks, firsts, buffer.reshape(blocks.shape[0], -1))
     first = min(firsts.tolist())
-    return first if first < low else _passes(table, low, points, ufunc, buffer, split=True)
+    return first if first < low else _passes(table, low, points, buffer, split=True)
 
 
-def _passes(table: np.ndarray, start: int, stop: int, ufunc, buffer: np.ndarray | None, split: bool) -> int:
-    """Run ``_walk``'s passes ``start .. stop-1`` over ``table``, each in halves if ``split``.
+def _envelope(table: np.ndarray, points: int, draw) -> None:
+    """Fill ``table`` with ``draw``, then replace each entry with the max over its subsets, one pass per point.
 
-    Returns the first pass that fails, or ``stop``.
+    The passes below ``_BLOCK_POINTS`` run block by block as ``_drawn_blocks``
+    draws each block, and the later ones stream the whole table, each split
+    through ``_in_halves``.  Every entry meets its passes in increasing
+    order, so the table is bit for bit that of drawing it whole and running
+    whole-table passes.
     """
+    low = min(points, _BLOCK_POINTS)
+    _drawn_blocks(table.reshape(-1, 1 << low), draw, lambda block: _passes(block, 0, low, None, split=False))
+    _passes(table, low, points, None, split=True)
+
+
+def _drawn_blocks(blocks: np.ndarray, draw, passes) -> None:
+    """Fill the rows of ``blocks`` in order with ``draw(out=row)`` here; run ``passes(row)`` once a row is drawn.
+
+    ``draw`` is one call per block in order, so with ``Generator.random`` the
+    blocks hold the numbers of one call over all of them, and the generator
+    ends in the same state.  A second thread takes the blocks in order as
+    they are drawn, and this thread takes the rest when the draw ends; each
+    block is claimed by one thread.  The draw and the passes release the GIL,
+    so they run at once on two CPUs.  The thread is joined before this
+    returns, whatever either side raised, and an exception from the thread is
+    raised again here; a failed draw releases the thread from its wait.
+
+    With fewer than ``_SPLIT_ENTRIES`` entries, or one usable CPU
+    (``_TWO_CPUS``), each block is drawn and passed in turn on this thread.
+    """
+    if blocks.size < _SPLIT_ENTRIES or not _TWO_CPUS:
+        for block in blocks:
+            draw(out=block)
+            passes(block)
+        return
+    ready = threading.Condition()
+    drawn = claimed = 0  # blocks drawn and blocks claimed, each a prefix in order; drawn is -1 after a failure
+    raised = []
+
+    def claim() -> int | None:
+        """The next unclaimed block, once it is drawn; None once every block is claimed or the walk failed."""
+        nonlocal claimed
+        with ready:
+            k = claimed
+            if k == len(blocks):
+                return None
+            claimed += 1
+            ready.wait_for(lambda: drawn > k or drawn < 0)
+            return k if drawn > k else None
+
+    def pass_drawn_blocks() -> None:
+        try:
+            while (k := claim()) is not None:
+                passes(blocks[k])
+        except BaseException as e:  # handed to the calling thread, which raises it after the join
+            raised.append(e)
+
+    thread = threading.Thread(target=pass_drawn_blocks)
+    thread.start()
+    try:
+        for k, block in enumerate(blocks):
+            draw(out=block)
+            with ready:
+                drawn = k + 1
+                ready.notify()
+        while (k := claim()) is not None:
+            passes(blocks[k])
+    except BaseException:
+        with ready:
+            drawn = -1
+            ready.notify()
+        raise
+    finally:
+        thread.join()
+    if raised:
+        raise raised[0]
+
+
+def _passes(
+    table: np.ndarray,
+    start: int,
+    stop: int,
+    buffer: np.ndarray | None,
+    split: bool,
+    off_lattice: np.ndarray | None = None,
+) -> int:
+    """Run the lattice passes ``start .. stop-1`` over ``table``, each in halves if ``split``; return the first to fail.
+
+    Without ``buffer`` each pass writes ``np.maximum(hi, lo)`` into ``hi`` in
+    place (an envelope pass) and none fails.  With ``buffer``, a bool array,
+    each pass writes ``lo <= hi`` into it and fails unless every entry is
+    true; the return is the first pass that fails, or ``stop``.
+
+    With ``off_lattice`` (a block of the accepting sweep, and a ``buffer`` at
+    least as large), each pass ``i`` below its row count is one shifted
+    comparison, ``_shifted_pairs``: every position is compared, and the
+    positions that are not a lattice pair, which row ``i`` marks over one
+    period, are then set true, so the pass fails exactly where its lattice
+    pairs do.  The last ``2**i`` positions, which the comparison does not
+    reach, all have bit ``i`` set.
+    """
+    if off_lattice is not None:
+        out = buffer[: table.size]
+        periods = out.reshape(-1, off_lattice.shape[1])
+        for i, lo, hi in _shifted_pairs(table, start, min(stop, len(off_lattice))):
+            np.less_equal(lo, hi, out=out[: lo.size])
+            np.logical_or(periods, off_lattice[i], out=periods)
+            if not out.all():
+                return i
+        start = max(start, min(stop, len(off_lattice)))
     run = _in_halves if split else lambda fn, *views: fn(*views)
     for i, lo, hi, order in _lattice_pairs(table, stop, start):
-        a, b, out = (hi, lo, hi) if buffer is None else (lo, hi, buffer.reshape(lo.shape))
-        run(lambda a, b, out: ufunc(a, b, out=out, order=order), a, b, out)
-        if buffer is not None and not out.all():
-            return i
+        if buffer is None:
+            run(lambda lo, hi: np.maximum(hi, lo, out=hi, order=order), lo, hi)
+        else:
+            out = buffer[: lo.size].reshape(lo.shape)
+            run(lambda lo, hi, out: np.less_equal(lo, hi, out=out, order=order), lo, hi, out)
+            if not out.all():
+                return i
     return stop
 
 
@@ -529,9 +672,12 @@ class Capacity:
 def _interp_monotone(samples: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Piecewise-linear evaluation of uniform samples, clamped per bracket.
 
-    With ``pos = x * m``, bracket ``k = min(floor(pos), m - 1)`` and
-    ``frac = pos - k``, each output is ``samples[k] + (samples[k+1] - samples[k]) * frac``
-    clamped into ``[samples[k], samples[k+1]]``.  An input whose ``pos`` is an
+    With ``pos = x * m``, bracket ``k = floor(pos)`` and ``frac = pos - k``,
+    each output is ``samples[k] + (samples[k+1] - samples[k]) * frac`` clamped
+    into ``[samples[k], samples[k+1]]``.  The bracket tables are padded with a
+    last bracket ``[samples[m], samples[m]]`` of width 0, which ``x = 1``
+    (``k = m``) reads, so ``k`` needs no clamp and no ``k + 1`` is computed;
+    every ``x`` in [0,1] has ``k`` in ``0 .. m``.  An input whose ``pos`` is an
     integer ``j`` gives ``samples[j]`` exactly.
 
     If ``samples`` are finite and non-decreasing with ``samples[0] = 0`` and
@@ -540,15 +686,18 @@ def _interp_monotone(samples: np.ndarray, x: np.ndarray) -> np.ndarray:
 
     - range: every output is clamped into its bracket, which lies in [0,1];
     - endpoints: ``x = 0`` gives exactly ``samples[0] = 0``; ``x = 1`` gives
-      ``pos = m``, ``k = m - 1`` and ``frac = 1``, and ``lo + (1 - lo)`` rounds
-      to exactly 1 for every ``lo`` in [0,1] (the subtraction is exact for
-      ``lo >= 1/2``, else off by at most 2**-54, and ``1 +- 2**-54`` rounds
-      to 1), so the output is exactly ``samples[m] = 1``;
+      ``pos = m``, ``k = m`` and ``frac = 0``, and reads ``lo = hi = 1`` with
+      a zero width, so the output is ``1 + 0 * 0``, exactly 1;
     - monotone within one bracket: ``pos``, ``k`` and ``frac`` are monotone
       in ``x``, and rounded multiplication and addition by non-negative
       constants are monotone, and so is the clamp;
     - monotone across brackets: if ``k1 < k2``, then
       ``out1 <= samples[k1+1] <= samples[k2] <= out2``.
+
+    The widths ``samples[k+1] - samples[k]`` are computed once, and the clamp
+    is ``np.maximum`` with the low end, then ``np.minimum`` with the high
+    end, which is the order in which ``np.clip`` applies them and keeps its
+    sign of zero.
 
     ``x`` (1-d) and the output are split into halves through ``_in_halves``,
     and each half is processed in chunks of ``_INTERP_CHUNK`` entries, so the
@@ -556,16 +705,21 @@ def _interp_monotone(samples: np.ndarray, x: np.ndarray) -> np.ndarray:
     depends on its own input alone, so the split gives the serial bits.
     """
     m = samples.size - 1
+    highs = np.append(samples[1:], samples[-1])
+    widths = highs - samples
     out = np.empty(x.shape)
 
     def interp(x: np.ndarray, out: np.ndarray) -> None:
         for start in range(0, x.size, _INTERP_CHUNK):
             pos = x[start : start + _INTERP_CHUNK] * m
-            k = np.minimum(pos.astype(np.int64), m - 1)
+            k = pos.astype(np.intp)
             frac = pos - k
-            lo = samples[k]
-            hi = samples[k + 1]
-            np.clip(lo + (hi - lo) * frac, lo, hi, out=out[start : start + _INTERP_CHUNK])
+            lo = samples.take(k)
+            value = widths.take(k)
+            value *= frac
+            value += lo
+            np.maximum(value, lo, out=value)
+            np.minimum(value, highs.take(k), out=out[start : start + _INTERP_CHUNK])
 
     _in_halves(interp, x, out)
     return out
@@ -574,13 +728,16 @@ def _interp_monotone(samples: np.ndarray, x: np.ndarray) -> np.ndarray:
 def random_capacity(space: FiniteSpace, rng: np.random.Generator) -> Capacity:
     """Draw a random capacity: i.i.d. uniforms per subset, monotone envelope, fixed boundaries.
 
-    The envelope step, one blocked walk of ``np.maximum`` passes, replaces
-    each subset's draw with the max over its subsets, so no rejection
-    sampling is needed.
+    The envelope step, ``_envelope``'s ``np.maximum`` passes, replaces each
+    subset's draw with the max over its subsets, so no rejection sampling is
+    needed.  The table is drawn block by block, and a second thread takes
+    each block's low passes while the next blocks are drawn; the draws are
+    the numbers, in the same order, of one ``rng.random(2**n)``, and ``rng``
+    ends in the same state.
     """
     _require_types(("space", space, FiniteSpace), ("rng", rng, np.random.Generator))
-    table = rng.random(space.num_subsets)
-    _walk(table, space.size, np.maximum)
+    table = np.empty(space.num_subsets)
+    _envelope(table, space.size, rng.random)
     table[0] = 0.0
     table[-1] = 1.0
     table.setflags(write=False)  # a fresh table nobody else holds: the constructor need not copy it

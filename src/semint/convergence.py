@@ -451,8 +451,10 @@ def random_strict_sequence(
     _require_types(("space", space, FiniteSpace), ("rng", rng, np.random.Generator))
     horizon = _checked_int(horizon, "horizon", 1, MAX_HORIZON)
     vanish_at = default_tail_start(horizon) if vanish_at is None else _checked_int(vanish_at, "vanish_at")
+    # every function below adopts its values unchecked and uncopied: each is a fresh float64 array that nothing else
+    # holds, and every entry is an rng.random draw, which lies in [0, 1)
     limit_values = rng.random(space.size)
-    limit = MeasurableFn(space, limit_values)
+    limit = MeasurableFn._adopt(space, limit_values)
     support = int(rng.integers(0, space.num_subsets))
     terms = []
     for n in range(1, horizon + 1):
@@ -463,7 +465,7 @@ def random_strict_sequence(
             bits = [i for i in range(space.size) if support >> i & 1]
             values[bits] = rng.random(len(bits))
             support &= ~(1 << bits[int(rng.integers(0, len(bits)))])
-        terms.append(MeasurableFn(space, values))
+        terms.append(MeasurableFn._adopt(space, values))
     return FnSequence(space, tuple(terms), limit, provenance="random shrinking-support sequence")
 
 

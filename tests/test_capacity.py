@@ -4,7 +4,9 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -906,7 +908,14 @@ def test_scans_past_the_split_size_match_one_cpu_bit_for_bit(monkeypatch):
     j = int(np.argmax(high[1 << np.arange(block)]))
     high[1 << j | 1 << block] = high[1 << block]
     assert [(v.mask, v.element) for v in validate_table(space, high)] == [(1 << j, block)]
-    tables = [table, low, high]
+    # one drop, from {j} to {j, shifted}, in the first pass of the blocks that is not a shifted comparison
+    shifted = capacity_module._SHIFTED_POINTS
+    assert shifted < block
+    mid = random_capacity(space, np.random.default_rng(23)).table.copy()
+    j = int(np.argmax(mid[1 << np.arange(shifted)]))
+    mid[1 << j | 1 << shifted] = mid[1 << shifted]
+    assert [(v.mask, v.element) for v in validate_table(space, mid)] == [(1 << j, shifted)]
+    tables = [table, low, high, mid]
     monkeypatch.setattr(capacity_module, "_TWO_CPUS", True)
     split = scan_results(space, tables, (7,))
     monkeypatch.setattr(capacity_module, "_TWO_CPUS", False)
@@ -931,14 +940,21 @@ def test_the_diagnosis_starts_at_the_first_failing_pass(monkeypatch, split, last
     assert [(v.kind, v.mask, v.element) for v in unblocked] == [("not-monotone", a, 3)]
 
     compared = []  # (pass, pairs) per pass a scan compares; list.append is atomic, so both threads may add
-    real = capacity_module._lattice_pairs
+    lattice, shifted = capacity_module._lattice_pairs, capacity_module._shifted_pairs
 
     def counted(table, points, start=0):
-        for i, lo, hi, order in real(table, points, start):
+        for i, lo, hi, order in lattice(table, points, start):
             compared.append((i, lo.size))
             yield i, lo, hi, order
 
+    def counted_shifted(table, start, stop):
+        for i, lo, hi in shifted(table, start, stop):
+            compared.append((i, table.size // 2))  # the lattice pairs among the positions it compares
+            yield i, lo, hi
+
     monkeypatch.setattr(capacity_module, "_lattice_pairs", counted)
+    monkeypatch.setattr(capacity_module, "_shifted_pairs", counted_shifted)
+    assert capacity_module._SHIFTED_POINTS > 3  # pass 3 fails in a shifted comparison
     monkeypatch.setattr(capacity_module, "_BLOCK_POINTS", block)
     if split:
         split_everywhere(monkeypatch)
@@ -967,6 +983,9 @@ def test_small_tables_and_one_cpu_start_no_thread(monkeypatch):
     split_everywhere(monkeypatch)
     monkeypatch.setattr(capacity_module, "_TWO_CPUS", False)
     assert random_capacity(space, np.random.default_rng(16)).table.tobytes() == table.tobytes()
+    monkeypatch.setattr(capacity_module, "_BLOCK_POINTS", 8)  # 256 blocks, drawn and passed on this thread
+    assert random_capacity(space, np.random.default_rng(16)).table.tobytes() == table.tobytes()
+    assert validate_table(space, table) == []
 
 
 def test_an_exception_in_either_half_reaches_the_caller_after_both_halves_ran(monkeypatch):
@@ -986,6 +1005,136 @@ def test_an_exception_in_either_half_reaches_the_caller_after_both_halves_ran(mo
             capacity_module._in_halves(fn, np.arange(8), out)
         assert sorted(seen) == [0, 4] and out.tolist() == list(range(8))
         assert threading.active_count() == threads
+
+
+BIT_GENERATORS = (np.random.PCG64, np.random.MT19937, np.random.Philox, np.random.SFC64)
+
+
+def reference_random_table(n: int, rng: np.random.Generator) -> np.ndarray:
+    """random_capacity's table the plain way: one draw of the whole table, whole-table envelope passes, endpoints."""
+    table = rng.random(1 << n)
+    for i in range(n):
+        pairs = table.reshape(-1, 2, 1 << i)
+        np.maximum(pairs[:, 1], pairs[:, 0], out=pairs[:, 1])
+    table[0], table[-1] = 0.0, 1.0
+    return table
+
+
+@pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda b: b.__name__)
+@pytest.mark.parametrize("split", [False, True], ids=["one-cpu", "split"])
+@pytest.mark.parametrize("n, block", [(3, 1), (9, 3), (12, 4), (12, 11), (18, None), (20, None)])
+def test_the_draw_under_the_envelope_matches_one_draw_and_whole_table_passes(
+    monkeypatch, bit_generator, split, n, block
+):
+    if block is not None:  # many small blocks
+        monkeypatch.setattr(capacity_module, "_BLOCK_POINTS", block)
+    assert capacity_module._BLOCK_POINTS < n
+    if split:
+        split_everywhere(monkeypatch)
+    else:
+        monkeypatch.setattr(capacity_module, "_TWO_CPUS", False)
+    threads = threading.active_count()
+    for seed in (0, 2**40 + n):
+        rng, twin = np.random.Generator(bit_generator(seed)), np.random.Generator(bit_generator(seed))
+        got = random_capacity(FiniteSpace(n), rng).table
+        assert got.tobytes() == reference_random_table(n, twin).tobytes()
+        assert rng.random(5).tobytes() == twin.random(5).tobytes()  # the generator drew 2**n doubles in all
+    assert threading.active_count() == threads
+
+
+def within(seconds: float, call):
+    """``call()`` on a helper thread that must return within ``seconds``: its result, or the exception it raised."""
+    outcome = []
+
+    def run():
+        try:
+            outcome.append((True, call()))
+        except BaseException as e:  # raised again below, on the test's thread
+            outcome.append((False, e))
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), f"still running after {seconds} s"
+    returned, value = outcome[0]
+    if not returned:
+        raise value
+    return value
+
+
+class SlowGenerator(np.random.Generator):
+    """A generator whose ``random`` sleeps before each draw, so that the envelope thread waits for blocks, and
+    raises in the draw numbered ``failing`` (from 0), if one is."""
+
+    def __init__(self, seed: int, failing: int | None = None):
+        super().__init__(np.random.PCG64(seed))
+        self.failing, self.draws = failing, 0
+
+    def random(self, *args, **kwargs):
+        time.sleep(0.002)
+        if self.draws == self.failing:
+            raise ValueError(f"draw {self.draws}")
+        self.draws += 1
+        return super().random(*args, **kwargs)
+
+
+@pytest.mark.parametrize("failing", [0, 5, 15])
+def test_a_failed_draw_reaches_the_caller_and_releases_the_envelope_thread(monkeypatch, failing):
+    split_everywhere(monkeypatch)
+    monkeypatch.setattr(capacity_module, "_BLOCK_POINTS", 6)  # 16 blocks at n = 10
+    threads = threading.active_count()
+    with pytest.raises(ValueError, match=f"draw {failing}"):
+        within(60, lambda: random_capacity(FiniteSpace(10), SlowGenerator(1, failing)))
+    assert threading.active_count() == threads
+    # the same generator, never failing, gives the one-draw table
+    want = reference_random_table(10, np.random.default_rng(1)).tobytes()
+    assert within(60, lambda: random_capacity(FiniteSpace(10), SlowGenerator(1))).table.tobytes() == want
+
+
+@pytest.mark.parametrize("failing_thread", ["envelope", "caller"])
+def test_a_failed_block_pass_reaches_the_caller_from_either_thread(monkeypatch, failing_thread):
+    split_everywhere(monkeypatch)
+    monkeypatch.setattr(capacity_module, "_BLOCK_POINTS", 6)  # 16 blocks at n = 10
+    real = capacity_module._passes
+    callers = set()
+
+    def passes(table, start, stop, buffer, split):
+        if not split:  # one block's passes
+            thread = "caller" if threading.get_ident() in callers else "envelope"
+            if thread == "envelope":
+                time.sleep(0.005)  # slower than the draw, so that the caller takes blocks too once it ends
+            if thread == failing_thread:
+                raise ValueError(f"block pass on the {thread} thread")
+        return real(table, start, stop, buffer, split)
+
+    def call():
+        callers.add(threading.get_ident())
+        return random_capacity(FiniteSpace(10), np.random.default_rng(3))
+
+    monkeypatch.setattr(capacity_module, "_passes", passes)
+    threads = threading.active_count()
+    with pytest.raises(ValueError, match=f"on the {failing_thread} thread"):
+        within(60, call)
+    assert threading.active_count() == threads
+
+
+def test_concurrent_draws_under_the_envelope_each_match_one_draw(monkeypatch):
+    split_everywhere(monkeypatch)
+    monkeypatch.setattr(capacity_module, "_BLOCK_POINTS", 3)  # 512 blocks at n = 12, each claimed by one thread
+    seeds = range(4)  # four callers, each with its envelope thread: more threads than CPUs
+    want = [reference_random_table(12, np.random.default_rng(seed)).tobytes() for seed in seeds]
+
+    def draw(seed):
+        return random_capacity(FiniteSpace(12), np.random.default_rng(seed)).table.tobytes()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+    try:
+        with ThreadPoolExecutor(len(seeds)) as pool:
+            tables = within(120, lambda: list(pool.map(draw, seeds)))
+    finally:
+        sys.setswitchinterval(interval)
+    assert tables == want
 
 
 def test_split_scans_keep_the_peak_memory_bounds(monkeypatch):
@@ -1133,9 +1282,9 @@ def raised(call):
 ERRORS = {"domain": DomainError, "not-normalized": NotNormalizedError, "not-monotone": NotMonotoneError}
 
 
-@given(planted_faults(), st.booleans(), st.integers(1, 8))
+@given(planted_faults(), st.booleans(), st.integers(1, 8), st.integers(0, 8))
 @settings(max_examples=300, deadline=None)
-def test_validation_lists_and_raises_the_full_diagnosis_for_every_planted_fault(planted, split, block):
+def test_validation_lists_and_raises_the_full_diagnosis_for_every_planted_fault(planted, split, block, shifted):
     n, table = planted
     space = FiniteSpace(n)
     # an independent reference: the range masks, the two endpoints, then the index-loop witnesses
@@ -1145,6 +1294,7 @@ def test_validation_lists_and_raises_the_full_diagnosis_for_every_planted_fault(
     want += [("not-monotone", mask, i) for mask, i in ref_monotone_witnesses(n, table)]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(capacity_module, "_BLOCK_POINTS", min(block, n))
+        patch.setattr(capacity_module, "_SHIFTED_POINTS", shifted)
         if split:
             split_everywhere(patch)
         listed = validate_table(space, table)
