@@ -37,35 +37,31 @@ is in L2, and only the passes from ``b`` on stream the whole table: at
 n = 22, one trip over the table and 5 streaming passes instead of 22.  Each
 entry meets its passes in the same order as in whole-table passes, so the
 tables are the same bits, and the sweep finds the same first failing pass.
-The envelope draws the table one block at a time (``_drawn_blocks``), and
-a second thread runs the low passes on each block once it is drawn, so the
-draw no longer leaves a CPU idle.  In a block of the sweep, each pass below
-``_SHIFTED_POINTS`` (10) is one contiguous comparison of the block with
-itself shifted by ``2**i`` (``_shifted_pairs``), whose positions that are
-not lattice pairs are then masked out, instead of a strided pass whose
-rows are only ``2**i`` long.  At n = 22 on 2 vCPUs (numpy 2.4, medians of
-15 in four alternating processes against whole-block lattice passes after
-one whole-table draw), the draw and envelope took 41-53 ms against 52-64,
-``validate_table`` on a capacity 22-33 ms against 29-36, and
-``from_distortion`` (65 nodes, with the leaner ``_interp_monotone``) 23-36
-ms against 32-41.
+In a block of the sweep, each pass below ``_SHIFTED_POINTS`` (10) is one
+contiguous comparison of the block with itself shifted by ``2**i``
+(``_shifted_pairs``), whose positions that are not lattice pairs are then
+masked out, instead of a strided pass whose rows are only ``2**i`` long.
+At n = 22 on 2 vCPUs (numpy 2.4, medians of 15 in four alternating
+processes against whole-block lattice passes after one whole-table draw),
+the draw and envelope took 41-53 ms against 52-64, ``validate_table`` on a
+capacity 22-33 ms against 29-36, and ``from_distortion`` (65 nodes, with
+the leaner ``_interp_monotone``) 23-36 ms against 32-41.
 
-Every full-table pass runs on two threads, through ``_in_halves``.  The
-walk gives each thread half of the blocks, then splits each streaming pass
-along its blocks or, at the top point, its offsets.  ``_faults``'
-diagnosis splits each pass's comparison into the two halves of one bool
-buffer, and one ``flatnonzero`` over the whole buffer reads a pass's drops
-in mask order.  Each prefix-doubling step splits its slice and the prefix
-it reads, ``from_additive``'s normalization splits the table, and
-``_interp_monotone`` splits its input and output, each half chunked on its
-own thread.  Every pass is elementwise over disjoint slices and the passes
-keep their order on each entry, so tables and violation lists are bit for
-bit the serial ones.  numpy's ufuncs release the GIL, so the halves run at
-once.  The split is skipped below ``_SPLIT_ENTRIES`` entries per view
-(n < 20 for a streaming pass, n < 19 for the blocks) and when the process
-may use one CPU only, which ``_TWO_CPUS`` reads once at import.
-``_faults``' [0,1] range check stays serial: it runs only on a table that
-is not a capacity.
+Every full-table pass runs on two threads through one scheduler,
+``_on_two_threads``: the calling thread and one helper drain one queue, so
+each item runs once, on whichever thread is free.  The blocks of
+``_envelope`` and ``_walk`` are its items (``_in_blocks``), and the envelope
+queues each block once the calling thread has drawn it, so the draw leaves
+no CPU idle.  Every other split (``_in_halves``) queues the two halves of
+its views: a streaming pass, a pass of ``_faults``' diagnosis (into the
+halves of one bool buffer), a doubling step, ``from_additive``'s
+normalization, ``_interp_monotone``.  Each pass is elementwise over disjoint
+slices and keeps its order on each entry, so tables and violation lists are
+bit for bit the serial ones; numpy's ufuncs release the GIL, so the threads
+run at once.  The split is skipped below ``_SPLIT_ENTRIES`` entries (n < 20
+for a streaming pass, n < 19 for the blocks) and when the process may use
+one CPU only (``_TWO_CPUS``, read at import).  ``_faults``' [0,1] range
+check stays serial: it runs only on a table that is not a capacity.
 
 All capacity objects are immutable after construction and safe to share
 across threads.
@@ -100,7 +96,7 @@ _WEIGHT_SUM_TOL = 1e-9
 # entries per chunk in _interp_monotone: each of its temporaries is 128 KiB, whatever the table size
 _INTERP_CHUNK = 1 << 14
 
-# entries per view below which _in_halves runs serially.  Starting and joining a thread costs about 0.2 ms;
+# entries per view below which _in_halves and _in_blocks run serially.  Starting and joining a thread costs about 0.2 ms;
 # one lo > hi pass over 2**19-entry views took 0.47 ms serial and 0.49 ms split, over 2**20 0.91 and 0.74 ms.
 # validate_table / random_capacity at n = 19 took 8.4 / 19.1 ms serial and 9.4 / 20.0 ms split at this size,
 # at n = 21 66 / 123 and 36 / 80 ms (numpy 2.4, 2 vCPUs, medians of 15)
@@ -135,49 +131,90 @@ def _usable_cpus() -> int:
 _TWO_CPUS = _usable_cpus() > 1
 
 
-def _in_halves(fn, *views: np.ndarray) -> None:
-    """Run ``fn`` on the two halves of equally shaped ``views``: the first halves on a new thread, the second here.
+def _on_two_threads(count: int, work, produce=None) -> None:
+    """Run ``work(k, side)`` once for each ``k`` in ``0 .. count-1``, on this thread (side 0) and one helper (side 1).
 
-    Each view is split at the middle of its first axis.  ``fn`` must write
-    only through its arguments and act entry by entry or block by block
-    along that axis, so that the two calls touch disjoint memory and do
-    together exactly what one call on the whole views does.  The numpy
-    ufuncs ``fn`` runs release the GIL, so the halves run at once on two
-    CPUs.  The thread is joined before this returns, whatever either half
-    raised, and an exception from the thread's half is raised again here.
-    ``fn`` should allocate no large temporary: one made on the thread comes
-    from that thread's malloc arena, and a bool temporary of the table's size
-    made there cost about 4 MiB more peak RSS per ``big-tables`` run at
-    n = 22, so the caller allocates every array ``fn`` writes and passes it
-    as a view; temporaries of a fixed size, such as ``_interp_monotone``'s
-    128 KiB chunks, are fine.  ``_walk`` hands over its blocks with a row of
-    its ``firsts`` per block and the rows of the caller's bool buffer, so each
-    thread takes every pass below ``_BLOCK_POINTS`` on its half of the
-    blocks, one block after another, and writes only into its own rows.
-
-    With fewer than ``_SPLIT_ENTRIES`` entries per view, or one usable CPU
-    (``_TWO_CPUS``), it is one call ``fn(*views)`` on this thread.
+    Both threads drain one queue of the indices, whichever is free taking
+    the next.  With ``produce``, this thread first calls ``produce(k)`` for
+    each ``k`` in order and queues ``k`` once it returns, then works what is
+    left.  The helper is joined before this returns, whatever either side
+    raised; an exception from either side is raised here once the other has
+    worked the indices left, and a failed ``produce`` queues nothing from its
+    index on and releases the helper.  No other function starts a thread.
     """
-    if views[0].size < _SPLIT_ENTRIES or not _TWO_CPUS:
-        fn(*views)
-        return
-    mid = views[0].shape[0] // 2
+    import queue  # here, not at import: with heapq it adds about 1 ms to every cold start, split or not
+    tasks = queue.SimpleQueue()
     raised = []
 
-    def first_halves() -> None:
+    def drain(side: int) -> None:
+        while (k := tasks.get()) is not None:
+            work(k, side)
+
+    def helper() -> None:
         try:
-            fn(*(v[:mid] for v in views))
+            drain(1)
         except BaseException as e:  # handed to the calling thread, which raises it after the join
             raised.append(e)
 
-    thread = threading.Thread(target=first_halves)
+    thread = threading.Thread(target=helper)
     thread.start()
     try:
-        fn(*(v[mid:] for v in views))
+        try:
+            for k in range(count):
+                if produce is not None:
+                    produce(k)
+                tasks.put(k)
+        finally:
+            tasks.put(None)  # one stop for each thread: the helper's, and this thread's after the rest
+            tasks.put(None)
+        drain(0)
     finally:
         thread.join()
     if raised:
         raise raised[0]
+
+
+def _splits(views: np.ndarray) -> bool:
+    """Whether work over ``views`` goes on two threads: at least ``_SPLIT_ENTRIES`` entries, two rows, two CPUs."""
+    return views.size >= _SPLIT_ENTRIES and len(views) > 1 and _TWO_CPUS
+
+
+def _in_halves(fn, *views: np.ndarray) -> None:
+    """Run ``fn`` on the halves of equally shaped ``views`` (split along the first axis) as two queued items.
+
+    ``fn`` must write only through its arguments and act entry by entry or
+    block by block along that axis, so that the two calls touch disjoint
+    memory and together do what one call on the whole views does.  It should
+    allocate no large temporary: one made on the helper comes from its
+    thread's malloc arena (a table-sized bool one cost about 4 MiB more peak
+    RSS per ``big-tables`` run at n = 22), so the caller allocates what ``fn``
+    writes; fixed-size ones, such as ``_interp_monotone``'s 128 KiB chunks,
+    are fine.  Unless ``_splits(views[0])``, it is one call ``fn(*views)``.
+    """
+    if not _splits(views[0]):
+        fn(*views)
+        return
+    mid = len(views[0]) // 2
+    _on_two_threads(2, lambda k, side: fn(*(v[mid:] if k else v[:mid] for v in views)))
+
+
+def _in_blocks(blocks: np.ndarray, passes, draw=None) -> None:
+    """Run ``passes(block, side)`` on each row of ``blocks``; with ``draw``, fill each row first with ``draw(out=row)``.
+
+    ``draw`` runs on this thread, once per row, in order, so with
+    ``Generator.random`` the rows hold the numbers of one call over all of
+    them and the generator ends in the same state.  If ``_splits(blocks)``,
+    the rows are the items of ``_on_two_threads``, with the draw as its
+    ``produce``; else each row is drawn and passed in turn here, as side 0.
+    """
+    produce = None if draw is None else lambda k: draw(out=blocks[k])
+    if _splits(blocks):
+        _on_two_threads(len(blocks), lambda k, side: passes(blocks[k], side), produce)
+        return
+    for k, block in enumerate(blocks):
+        if produce is not None:
+            produce(k)
+        passes(block, 0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -375,121 +412,54 @@ def _shifted_pairs(table: np.ndarray, start: int, stop: int):
 def _walk(table: np.ndarray, points: int, buffer: np.ndarray) -> int:
     """Compare ``lo <= hi`` for every point below ``points`` over ``table`` in blocks; return the first pass that fails.
 
-    ``buffer`` is a bool array of ``table.size // 2`` entries.  Each pass
-    compares into it and fails unless every entry is true; the walk stops at
-    the first failing pass and returns it, or ``points``.
+    ``buffer`` is a bool array of ``table.size // 2`` entries.  A pass fails
+    unless every entry it compares is true; the walk returns the first that
+    fails, or ``points``.
 
-    A pass ``i`` below ``b = _BLOCK_POINTS`` pairs masks inside one aligned
-    block of ``2**b`` entries, so each block takes all of those passes in
-    turn while it stays in cache, and only the passes from ``b`` on stream
-    the whole table, each split through ``_in_halves``.  The blocks go
-    through ``_in_halves`` too, each thread taking half of them and comparing
-    into its half of ``buffer``.  That half holds a whole block once there are
-    four blocks (two on one thread), and then ``_passes`` compares the passes
-    below ``_SHIFTED_POINTS`` as shifted views.  Every pass is still checked
-    alone and in order.  A block compares only the passes below the smallest
-    failing pass its thread has found so far and writes that bound into
-    ``firsts``; a pass is skipped only past a pass that fails, so the
-    smallest bound is the first failing pass over the whole table.  For
-    ``points <= _BLOCK_POINTS`` the table is one block, and the walk is one
-    whole-table pass after another.
+    A pass below ``low = min(points, _BLOCK_POINTS)`` pairs masks inside one
+    aligned block of ``2**low`` entries, so ``_in_blocks`` gives each block
+    all of those passes while it stays in cache; only the later passes stream
+    the table.  On two threads each side compares into its own half of
+    ``buffer``, else into all of it, and where that holds a whole block the
+    passes below ``_SHIFTED_POINTS`` are shifted comparisons.
+
+    Each side keeps the smallest failing pass it has found in its own slot
+    of ``firsts``, and a block compares only the passes below the smaller
+    slot.  A slot never grows and holds only ``low`` or a pass that fails, so
+    the smaller slot is the first failing pass over the table.  One shared
+    ``first = min(first, found)`` would not be: the sides could interleave
+    its read and write, and a larger pass overwrite a smaller one.
     """
-    if points <= _BLOCK_POINTS:
-        return _passes(table, 0, points, buffer, split=True)
-    low, shifted = _BLOCK_POINTS, min(_SHIFTED_POINTS, _BLOCK_POINTS)
+    low = min(points, _BLOCK_POINTS)
     blocks = table.reshape(-1, 1 << low)
-    firsts = np.empty(blocks.shape[0], dtype=np.intp)
-    # off_lattice[i, p] marks the positions p whose bit i is set, over one period of every shifted pass.  It is made
-    # here, not at import: its temporaries grew the peak RSS of processes that never build a table past one block.
-    off_lattice = (np.arange(1 << shifted) >> np.arange(shifted)[:, None] & 1).astype(bool)
+    sides = buffer.reshape(2 if _splits(blocks) else 1, -1)
+    off_lattice = None
+    if sides.shape[1] >= blocks.shape[1]:  # shifted passes need a whole block's room, so low is _BLOCK_POINTS
+        # off_lattice[i, p] marks the positions p whose bit i is set, over one period of every shifted pass; made
+        # only here, since its temporaries grew the peak RSS of processes that never build a table past one block
+        shifted = min(_SHIFTED_POINTS, low)
+        off_lattice = (np.arange(1 << shifted) >> np.arange(shifted)[:, None] & 1).astype(bool)
+    firsts = [low, low]
 
-    def walk_blocks(blocks: np.ndarray, firsts: np.ndarray, rows: np.ndarray) -> None:
-        limit, scratch = low, rows.reshape(-1)
-        off = off_lattice if scratch.size >= blocks.shape[1] else None  # shifted passes need a whole block's room
-        for k, block in enumerate(blocks):
-            limit = _passes(block, 0, limit, scratch, split=False, off_lattice=off)
-            firsts[k] = limit
+    def walk_block(block: np.ndarray, side: int) -> None:
+        firsts[side] = _passes(block, 0, min(firsts), sides[side], split=False, off_lattice=off_lattice)
 
-    _in_halves(walk_blocks, blocks, firsts, buffer.reshape(blocks.shape[0], -1))
-    first = min(firsts.tolist())
+    _in_blocks(blocks, walk_block)
+    first = min(firsts)
     return first if first < low else _passes(table, low, points, buffer, split=True)
 
 
 def _envelope(table: np.ndarray, points: int, draw) -> None:
     """Fill ``table`` with ``draw``, then replace each entry with the max over its subsets, one pass per point.
 
-    The passes below ``_BLOCK_POINTS`` run block by block as ``_drawn_blocks``
-    draws each block, and the later ones stream the whole table, each split
-    through ``_in_halves``.  Every entry meets its passes in increasing
-    order, so the table is bit for bit that of drawing it whole and running
-    whole-table passes.
+    ``_in_blocks`` runs the passes below ``_BLOCK_POINTS`` on each block once
+    it is drawn, and the later ones stream the whole table.  Every entry meets
+    its passes in increasing order, so the table is bit for bit that of one
+    whole draw and whole-table passes.
     """
     low = min(points, _BLOCK_POINTS)
-    _drawn_blocks(table.reshape(-1, 1 << low), draw, lambda block: _passes(block, 0, low, None, split=False))
+    _in_blocks(table.reshape(-1, 1 << low), lambda block, side: _passes(block, 0, low, None, split=False), draw)
     _passes(table, low, points, None, split=True)
-
-
-def _drawn_blocks(blocks: np.ndarray, draw, passes) -> None:
-    """Fill the rows of ``blocks`` in order with ``draw(out=row)`` here; run ``passes(row)`` once a row is drawn.
-
-    ``draw`` is one call per block in order, so with ``Generator.random`` the
-    blocks hold the numbers of one call over all of them, and the generator
-    ends in the same state.  A second thread takes the blocks in order as
-    they are drawn, and this thread takes the rest when the draw ends; each
-    block is claimed by one thread.  The draw and the passes release the GIL,
-    so they run at once on two CPUs.  The thread is joined before this
-    returns, whatever either side raised, and an exception from the thread is
-    raised again here; a failed draw releases the thread from its wait.
-
-    With fewer than ``_SPLIT_ENTRIES`` entries, or one usable CPU
-    (``_TWO_CPUS``), each block is drawn and passed in turn on this thread.
-    """
-    if blocks.size < _SPLIT_ENTRIES or not _TWO_CPUS:
-        for block in blocks:
-            draw(out=block)
-            passes(block)
-        return
-    ready = threading.Condition()
-    drawn = claimed = 0  # blocks drawn and blocks claimed, each a prefix in order; drawn is -1 after a failure
-    raised = []
-
-    def claim() -> int | None:
-        """The next unclaimed block, once it is drawn; None once every block is claimed or the walk failed."""
-        nonlocal claimed
-        with ready:
-            k = claimed
-            if k == len(blocks):
-                return None
-            claimed += 1
-            ready.wait_for(lambda: drawn > k or drawn < 0)
-            return k if drawn > k else None
-
-    def pass_drawn_blocks() -> None:
-        try:
-            while (k := claim()) is not None:
-                passes(blocks[k])
-        except BaseException as e:  # handed to the calling thread, which raises it after the join
-            raised.append(e)
-
-    thread = threading.Thread(target=pass_drawn_blocks)
-    thread.start()
-    try:
-        for k, block in enumerate(blocks):
-            draw(out=block)
-            with ready:
-                drawn = k + 1
-                ready.notify()
-        while (k := claim()) is not None:
-            passes(blocks[k])
-    except BaseException:
-        with ready:
-            drawn = -1
-            ready.notify()
-        raise
-    finally:
-        thread.join()
-    if raised:
-        raise raised[0]
 
 
 def _passes(
@@ -730,8 +700,8 @@ def random_capacity(space: FiniteSpace, rng: np.random.Generator) -> Capacity:
 
     The envelope step, ``_envelope``'s ``np.maximum`` passes, replaces each
     subset's draw with the max over its subsets, so no rejection sampling is
-    needed.  The table is drawn block by block, and a second thread takes
-    each block's low passes while the next blocks are drawn; the draws are
+    needed.  The table is drawn block by block, and each drawn block is
+    queued for its low passes while the next blocks are drawn; the draws are
     the numbers, in the same order, of one ``rng.random(2**n)``, and ``rng``
     ends in the same state.
     """

@@ -10,7 +10,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from semint import (
@@ -963,13 +963,64 @@ def test_the_diagnosis_starts_at_the_first_failing_pass(monkeypatch, split, last
     half = space.num_subsets // 2
     assert pairs[:3] == [half] * 3  # every pair below the first failing pass, once
     assert pairs[block:] == [half] * (n - block)  # the streaming passes: the diagnosis alone
-    if last:
+    if split:
+        # the two threads take the blocks from one queue, so which blocks compare a pass from 3 on depends on
+        # when the failing block's side records pass 3; that block compares pass 3 and no later pass
+        assert half + (1 << block - 1) <= pairs[3] <= 2 * half
+        assert all(half <= count < 2 * half for count in pairs[4:block])
+    elif last:
         # pass 3 by every block, then the diagnosis; the later passes by every block but the last
         assert pairs[3:block] == [2 * half] + [2 * half - (1 << block - 1)] * (block - 4)
-    elif split:  # the blocks after the first on its thread compare no pass from 3 on
-        assert all(half < count < 2 * half for count in pairs[3:block])
     else:
         assert pairs[3:block] == [half + (1 << block - 1)] + [half] * (block - 4)
+
+
+def drops_at_passes_5_and_3(n: int, block: int, k: int) -> tuple[np.ndarray, list]:
+    """An additive table whose only drops are at pass 5 in block 0 and at pass 3 in block ``k``, and its violations.
+
+    Blocks are ``2**block`` entries long.  Each drop is one mask raised one ulp above the mask that adds the point,
+    and below its other supersets, whose points weigh more.
+    """
+    w = np.ones(n)
+    w[3], w[5] = 0.25, 0.5
+    table = Capacity.from_additive(FiniteSpace(n), w / w.sum()).table.copy()
+    late, early = (1 << block) - 1 ^ 1 << 5, k << block | (1 << block) - 1 ^ 1 << 3 ^ 1  # neither is full
+    for mask, i in ((late, 5), (early, 3)):
+        table[mask] = np.nextafter(table[mask | 1 << i], 2.0)
+    want = [("not-monotone", early, 3), ("not-monotone", late, 5)]
+    assert [(v.kind, v.mask, v.element) for v in validate_table(FiniteSpace(n), table)] == want
+    return table, want
+
+
+def test_the_first_failing_pass_is_the_smaller_of_the_two_sides(monkeypatch):
+    """One side finds pass 5 in block 0 while the other finds pass 3 in block 3; the walk returns 3.
+
+    The side that takes block 0 waits, inside its block's passes, until the other side has found pass 3, then
+    records pass 5.  A walk that kept one shared first pass and wrote ``min`` of a value read before the wait
+    would lose pass 3, and the diagnosis would start at pass 5.
+    """
+    n, block = 12, 8
+    space = FiniteSpace(n)
+    table, want = drops_at_passes_5_and_3(n, block, 3)
+
+    real, found = capacity_module._passes, threading.Event()
+    first_block = table[: 1 << block]
+
+    def passes(part, start, stop, buffer, split, off_lattice=None):
+        if part.size == first_block.size and np.may_share_memory(part, first_block):
+            assert found.wait(60), "the other side never found pass 3"
+        first = real(part, start, stop, buffer, split, off_lattice)
+        if first == 3:
+            found.set()
+        return first
+
+    split_everywhere(monkeypatch)
+    monkeypatch.setattr(capacity_module, "_BLOCK_POINTS", block)
+    monkeypatch.setattr(capacity_module, "_passes", passes)
+    buffer = np.empty(table.size // 2, dtype=bool)
+    assert within(120, lambda: capacity_module._walk(table, n, buffer)) == 3
+    found.clear()
+    assert [(v.kind, v.mask, v.element) for v in within(120, lambda: validate_table(space, table))] == want
 
 
 def test_small_tables_and_one_cpu_start_no_thread(monkeypatch):
@@ -991,7 +1042,7 @@ def test_small_tables_and_one_cpu_start_no_thread(monkeypatch):
 def test_an_exception_in_either_half_reaches_the_caller_after_both_halves_ran(monkeypatch):
     split_everywhere(monkeypatch)
     threads = threading.active_count()
-    for failing in (0, 4):  # the thread's half, then the caller's half
+    for failing in (0, 4):  # the first half, then the second, whichever thread takes it
         seen = []
 
         def fn(view, out):
@@ -1005,6 +1056,61 @@ def test_an_exception_in_either_half_reaches_the_caller_after_both_halves_ran(mo
             capacity_module._in_halves(fn, np.arange(8), out)
         assert sorted(seen) == [0, 4] and out.tolist() == list(range(8))
         assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("count", [1, 2, 512])
+@pytest.mark.parametrize("produced", [False, True], ids=["queued", "produced"])
+def test_the_scheduler_works_every_index_once(count, produced):
+    threads = threading.active_count()
+    made, worked = [], []  # list.append is atomic, so both threads may add
+
+    def work(k, side):
+        assert not produced or k < len(made)  # an index is queued only once it is produced
+        worked.append((k, side))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+    try:
+        within(60, lambda: capacity_module._on_two_threads(count, work, made.append if produced else None))
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(k for k, side in worked) == list(range(count))
+    assert {side for k, side in worked} <= {0, 1}
+    assert made == (list(range(count)) if produced else [])
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("failing", [0, 1], ids=["caller", "helper"])
+def test_an_exception_on_either_side_is_raised_after_the_other_side_worked_the_rest(failing):
+    threads = threading.active_count()
+    raised, worked = threading.Event(), []
+
+    def work(k, side):
+        if side == failing:  # the failing side's first index raises, and the other side waits for it
+            raised.set()
+            raise ValueError(f"side {side} at {k}")
+        assert raised.wait(60)
+        worked.append(k)
+
+    with pytest.raises(ValueError, match=f"side {failing} at") as err:
+        within(60, lambda: capacity_module._on_two_threads(8, work))
+    assert sorted(worked + [int(str(err.value).rsplit(" ", 1)[1])]) == list(range(8))
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("failing", [0, 1, 5])
+def test_a_failed_produce_queues_nothing_from_its_index_on_and_releases_the_helper(failing):
+    threads = threading.active_count()
+    worked = []
+
+    def produce(k):
+        if k == failing:
+            raise ValueError(f"produce {k}")
+
+    with pytest.raises(ValueError, match=f"produce {failing}"):
+        within(60, lambda: capacity_module._on_two_threads(8, lambda k, side: worked.append(k), produce))
+    assert sorted(worked) == list(range(failing))  # the helper worked what was queued, and stopped
+    assert threading.active_count() == threads
 
 
 BIT_GENERATORS = (np.random.PCG64, np.random.MT19937, np.random.Philox, np.random.SFC64)
@@ -1097,12 +1203,14 @@ def test_a_failed_block_pass_reaches_the_caller_from_either_thread(monkeypatch, 
     monkeypatch.setattr(capacity_module, "_BLOCK_POINTS", 6)  # 16 blocks at n = 10
     real = capacity_module._passes
     callers = set()
+    entered = {"caller": threading.Event(), "envelope": threading.Event()}
 
     def passes(table, start, stop, buffer, split):
         if not split:  # one block's passes
             thread = "caller" if threading.get_ident() in callers else "envelope"
-            if thread == "envelope":
-                time.sleep(0.005)  # slower than the draw, so that the caller takes blocks too once it ends
+            # both threads drain one queue, so each waits in its first block until the other has taken one
+            entered[thread].set()
+            assert entered["envelope" if thread == "caller" else "caller"].wait(60), "one thread took every block"
             if thread == failing_thread:
                 raise ValueError(f"block pass on the {thread} thread")
         return real(table, start, stop, buffer, split)
@@ -1135,6 +1243,25 @@ def test_concurrent_draws_under_the_envelope_each_match_one_draw(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert tables == want
+
+
+def test_concurrent_sweeps_each_start_the_diagnosis_at_the_first_failing_pass(monkeypatch):
+    split_everywhere(monkeypatch)
+    n, block = 12, 6  # 64 blocks, pass 5 failing in the first and pass 3 in the last
+    monkeypatch.setattr(capacity_module, "_BLOCK_POINTS", block)
+    table, want = drops_at_passes_5_and_3(n, block, (1 << n - block) - 1)
+
+    def sweep(_):
+        return [[(v.kind, v.mask, v.element) for v in validate_table(FiniteSpace(n), table)] for _ in range(5)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+    try:
+        with ThreadPoolExecutor(4) as pool:  # four callers, each with its helper: more threads than CPUs
+            lists = within(120, lambda: list(pool.map(sweep, range(4))))
+    finally:
+        sys.setswitchinterval(interval)
+    assert lists == [[want] * 5] * 4
 
 
 def test_split_scans_keep_the_peak_memory_bounds(monkeypatch):
@@ -1240,34 +1367,49 @@ def test_builders_pinned_to_one_cpu_at_import_give_the_tables_of_two_cpus_bit_fo
 PLANTS = ("nan", "inf", "-inf", "below", "above", "empty", "full", "doubled", "drop-low", "drop-high", "drop-top")
 
 
-@st.composite
-def planted_faults(draw):
-    """A random capacity table with 0-3 planted faults of the kinds in ``PLANTS``, and its point count."""
-    n = draw(st.integers(1, 8))
-    table = random_capacity(FiniteSpace(n), np.random.default_rng(draw(st.integers(0, 2**32 - 1)))).table.copy()
+def plant_faults(n: int, seed: int, plants) -> np.ndarray:
+    """A random capacity table with ``plants`` applied in turn: ``(kind, mask, pick)``, ``kind`` one of ``PLANTS``.
+
+    ``pick`` chooses among a kind's values, modulo their count; the strategy draws it from 0..5, uniform modulo 2 or 3.
+    """
+    table = random_capacity(FiniteSpace(n), np.random.default_rng(seed)).table.copy()
     top = table.size // 2
-    for plant in draw(st.lists(st.sampled_from(PLANTS), max_size=3)):
-        mask = draw(st.integers(0, table.size - 1))
+    for plant, mask, pick in plants:
         low, high = mask % top, mask % top | top  # the same mask without and with the top point
+
+        def pick_of(*values):
+            return values[pick % len(values)]
+
         if plant in ("nan", "inf", "-inf"):
             table[mask] = float(plant)
         elif plant == "below":
-            table[mask] = -draw(st.sampled_from([5e-324, 2**-52, 0.5]))
+            table[mask] = -pick_of(5e-324, 2**-52, 0.5)
         elif plant == "above":
-            table[mask] = 1.0 + draw(st.sampled_from([2**-52, 0.5]))
+            table[mask] = 1.0 + pick_of(2**-52, 0.5)
         elif plant == "empty":
-            table[0] = draw(st.sampled_from([5e-324, 0.5, -0.0]))  # -0.0 is a valid empty-set value
+            table[0] = pick_of(5e-324, 0.5, -0.0)  # -0.0 is a valid empty-set value
         elif plant == "full":
-            table[-1] = draw(st.sampled_from([float(np.nextafter(1.0, 0.0)), 2.0]))
+            table[-1] = pick_of(float(np.nextafter(1.0, 0.0)), 2.0)
         elif plant == "doubled":
-            table *= 2.0  # monotone, in [0,2]
+            # monotone, in [0,2] unless a drop-top plant left the largest double below an inf: that entry
+            # overflows to inf, a domain fault like the inf it sits below
+            with np.errstate(over="ignore"):
+                table *= 2.0
         elif plant == "drop-low":  # raised within the lower half, above its supersets
-            table[low] = draw(st.sampled_from([1.0, table[low] + 0.25]))
+            table[low] = pick_of(1.0, table[low] + 0.25)
         elif plant == "drop-high":  # cut within the upper half, below its subsets
-            table[high] = draw(st.sampled_from([0.0, table[high] / 2]))
+            table[high] = pick_of(0.0, table[high] / 2)
         else:  # one ulp above its superset across the top point
             table[low] = np.nextafter(table[high], 2.0)
-    return n, table
+    return table
+
+
+@st.composite
+def planted_faults(draw):
+    """A point count, a seed and 0-3 plants for ``plant_faults``."""
+    n = draw(st.integers(1, 8))
+    plant = st.tuples(st.sampled_from(PLANTS), st.integers(0, (1 << n) - 1), st.integers(0, 5))
+    return n, draw(st.integers(0, 2**32 - 1)), draw(st.lists(plant, max_size=3))
 
 
 def raised(call):
@@ -1284,8 +1426,11 @@ ERRORS = {"domain": DomainError, "not-normalized": NotNormalizedError, "not-mono
 
 @given(planted_faults(), st.booleans(), st.integers(1, 8), st.integers(0, 8))
 @settings(max_examples=300, deadline=None)
+# an inf at mask 3, the largest double at mask 1 one step above it, then both doubled: mask 1 overflows to inf
+@example((2, 0, [("inf", 3, 0), ("drop-top", 1, 0), ("doubled", 0, 0)]), False, 1, 0)
 def test_validation_lists_and_raises_the_full_diagnosis_for_every_planted_fault(planted, split, block, shifted):
-    n, table = planted
+    n = planted[0]
+    table = plant_faults(*planted)
     space = FiniteSpace(n)
     # an independent reference: the range masks, the two endpoints, then the index-loop witnesses
     want = [("domain", int(mask), None) for mask in np.flatnonzero(~((table >= 0) & (table <= 1)))]
