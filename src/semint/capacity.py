@@ -37,10 +37,12 @@ is in L2, and only the passes from ``b`` on stream the whole table: at
 n = 22, one trip over the table and 5 streaming passes instead of 22.  Each
 entry meets its passes in the same order as in whole-table passes, so the
 tables are the same bits, and the sweep finds the same first failing pass.
-In a block of the sweep, each pass below ``_SHIFTED_POINTS`` (10) is one
-contiguous comparison of the block with itself shifted by ``2**i``
-(``_shifted_pairs``), whose positions that are not lattice pairs are then
-masked out, instead of a strided pass whose rows are only ``2**i`` long.
+In a block of the sweep, at every table size, each pass below
+``_SHIFTED_POINTS`` (10) is one contiguous comparison of the block with
+itself shifted by ``2**i`` (``_shifted_pairs``), whose positions that are
+not lattice pairs are then masked out, instead of a strided pass whose rows
+are only ``2**i`` long.  Each block compares into a bool scratch of its own,
+one block long.
 At n = 22 on 2 vCPUs (numpy 2.4, medians of 15 in four alternating
 processes against whole-block lattice passes after one whole-table draw),
 the draw and envelope took 41-53 ms against 52-64, ``validate_table`` on a
@@ -52,16 +54,19 @@ Every full-table pass runs on two threads through one scheduler,
 each item runs once, on whichever thread is free.  The blocks of
 ``_envelope`` and ``_walk`` are its items (``_in_blocks``), and the envelope
 queues each block once the calling thread has drawn it, so the draw leaves
-no CPU idle.  Every other split (``_in_halves``) queues the two halves of
-its views: a streaming pass, a pass of ``_faults``' diagnosis (into the
-halves of one bool buffer), a doubling step, ``from_additive``'s
-normalization, ``_interp_monotone``.  Each pass is elementwise over disjoint
-slices and keeps its order on each entry, so tables and violation lists are
-bit for bit the serial ones; numpy's ufuncs release the GIL, so the threads
-run at once.  The split is skipped below ``_SPLIT_ENTRIES`` entries (n < 20
-for a streaming pass, n < 19 for the blocks) and when the process may use
-one CPU only (``_TWO_CPUS``, read at import).  ``_faults``' [0,1] range
-check stays serial: it runs only on a table that is not a capacity.
+no CPU idle.  An item keeps what it writes in what its index names (a
+block, its scratch, its slot of ``_walk``'s failing passes), so nothing it
+does depends on which thread runs it.  Every other split (``_in_halves``)
+queues the two halves of its views: a lattice pass, a pass of ``_faults``'
+diagnosis (into the halves of one bool buffer), a doubling step,
+``from_additive``'s normalization, ``_interp_monotone``.  Each pass is
+elementwise over disjoint slices and keeps its order on each entry, so
+tables and violation lists are bit for bit the serial ones; numpy's ufuncs
+release the GIL, so the threads run at once.  The split is skipped below
+``_SPLIT_ENTRIES`` entries (n < 20 for a streaming pass, n < 19 for the
+blocks, always for a block's own passes) and when the process may use one
+CPU only (``_TWO_CPUS``, read at import).  ``_faults``' [0,1] range check
+stays serial: it runs only on a table that is not a capacity.
 
 All capacity objects are immutable after construction and safe to share
 across threads.
@@ -132,27 +137,28 @@ _TWO_CPUS = _usable_cpus() > 1
 
 
 def _on_two_threads(count: int, work, produce=None) -> None:
-    """Run ``work(k, side)`` once for each ``k`` in ``0 .. count-1``, on this thread (side 0) and one helper (side 1).
+    """Run ``work(k)`` once for each ``k`` in ``0 .. count-1``, on this thread or one helper, whichever is free.
 
-    Both threads drain one queue of the indices, whichever is free taking
-    the next.  With ``produce``, this thread first calls ``produce(k)`` for
-    each ``k`` in order and queues ``k`` once it returns, then works what is
-    left.  The helper is joined before this returns, whatever either side
-    raised; an exception from either side is raised here once the other has
-    worked the indices left, and a failed ``produce`` queues nothing from its
-    index on and releases the helper.  No other function starts a thread.
+    Both threads drain one queue of the indices.  ``work`` is given the
+    index alone, so the item it runs cannot depend on the thread.  With
+    ``produce``, this thread first calls ``produce(k)`` for each ``k`` in
+    order and queues ``k`` once it returns, then works what is left.  The
+    helper is joined before this returns, whatever either thread raised; an
+    exception from either is raised here once the other has worked the
+    indices left, and a failed ``produce`` queues nothing from its index on
+    and releases the helper.  No other function starts a thread.
     """
     import queue  # here, not at import: with heapq it adds about 1 ms to every cold start, split or not
     tasks = queue.SimpleQueue()
     raised = []
 
-    def drain(side: int) -> None:
+    def drain() -> None:
         while (k := tasks.get()) is not None:
-            work(k, side)
+            work(k)
 
     def helper() -> None:
         try:
-            drain(1)
+            drain()
         except BaseException as e:  # handed to the calling thread, which raises it after the join
             raised.append(e)
 
@@ -167,7 +173,7 @@ def _on_two_threads(count: int, work, produce=None) -> None:
         finally:
             tasks.put(None)  # one stop for each thread: the helper's, and this thread's after the rest
             tasks.put(None)
-        drain(0)
+        drain()
     finally:
         thread.join()
     if raised:
@@ -188,33 +194,34 @@ def _in_halves(fn, *views: np.ndarray) -> None:
     allocate no large temporary: one made on the helper comes from its
     thread's malloc arena (a table-sized bool one cost about 4 MiB more peak
     RSS per ``big-tables`` run at n = 22), so the caller allocates what ``fn``
-    writes; fixed-size ones, such as ``_interp_monotone``'s 128 KiB chunks,
-    are fine.  Unless ``_splits(views[0])``, it is one call ``fn(*views)``.
+    writes; fixed-size ones, such as ``_interp_monotone``'s 128 KiB chunks
+    or a block's scratch in ``_walk``, are fine.  Unless
+    ``_splits(views[0])``, it is one call ``fn(*views)``.
     """
     if not _splits(views[0]):
         fn(*views)
         return
     mid = len(views[0]) // 2
-    _on_two_threads(2, lambda k, side: fn(*(v[mid:] if k else v[:mid] for v in views)))
+    _on_two_threads(2, lambda k: fn(*(v[mid:] if k else v[:mid] for v in views)))
 
 
-def _in_blocks(blocks: np.ndarray, passes, draw=None) -> None:
-    """Run ``passes(block, side)`` on each row of ``blocks``; with ``draw``, fill each row first with ``draw(out=row)``.
+def _in_blocks(blocks: np.ndarray, work, draw=None) -> None:
+    """Run ``work(k)`` for each row ``k`` of ``blocks``; with ``draw``, first fill the row with ``draw(out=row)``.
 
     ``draw`` runs on this thread, once per row, in order, so with
     ``Generator.random`` the rows hold the numbers of one call over all of
     them and the generator ends in the same state.  If ``_splits(blocks)``,
     the rows are the items of ``_on_two_threads``, with the draw as its
-    ``produce``; else each row is drawn and passed in turn here, as side 0.
+    ``produce``; else each row is drawn and worked in turn here.
     """
     produce = None if draw is None else lambda k: draw(out=blocks[k])
     if _splits(blocks):
-        _on_two_threads(len(blocks), lambda k, side: passes(blocks[k], side), produce)
+        _on_two_threads(len(blocks), work, produce)
         return
-    for k, block in enumerate(blocks):
+    for k in range(len(blocks)):
         if produce is not None:
             produce(k)
-        passes(block, 0)
+        work(k)
 
 
 @dataclass(frozen=True, slots=True)
@@ -296,10 +303,10 @@ def _faults(table: np.ndarray, points: int):
     in increasing order.
 
     One sweep accepts or diagnoses.  While the endpoints are 0 and 1, the
-    blocked walk ``_walk`` compares ``lo <= hi`` into one reused bool buffer
-    and returns the first pass that fails.  The diagnosis starts at that
-    pass, or at pass 0 if an endpoint is wrong: the range and normalization
-    groups, then ``lo > hi`` over the whole table, in halves through
+    blocked walk ``_walk`` compares ``lo <= hi`` and returns the first pass
+    that fails.  The diagnosis starts at that pass, or at pass 0 if an
+    endpoint is wrong: the range and normalization groups, then ``lo > hi``
+    over the whole table into one bool buffer, in halves through
     ``_in_halves``, and one ``flatnonzero`` for this pass and each later
     one.  No pass below the first failing one is compared twice.
 
@@ -309,10 +316,10 @@ def _faults(table: np.ndarray, points: int):
     ``table[-1] = 1``, so no entry leaves [0,1].  Conversely a capacity
     passes every ``lo <= hi``.
     """
-    buffer = np.empty(table.size // 2, dtype=bool)
-    first = _walk(table, points, buffer) if table[0] == 0.0 and table[-1] == 1.0 else 0
+    first = _walk(table, points) if table[0] == 0.0 and table[-1] == 1.0 else 0
     if first == points:
         return
+    buffer = np.empty(table.size // 2, dtype=bool)
     yield "domain", np.flatnonzero(~((table >= 0.0) & (table <= 1.0))), None
     boundary = [mask for mask, want in ((0, 0.0), (table.size - 1, 1.0)) if table[mask] != want]
     yield "not-normalized", np.array(boundary, dtype=np.int64), None
@@ -395,8 +402,8 @@ def _lattice_pairs(table: np.ndarray, points: int, start: int = 0):
         yield i, lo, hi, "F" if i in (1, 2) else "K"
 
 
-def _shifted_pairs(table: np.ndarray, start: int, stop: int):
-    """Yield ``(i, table[:-2**i], table[2**i:])`` for each point ``i`` from ``start`` below ``stop``.
+def _shifted_pairs(table: np.ndarray, stop: int):
+    """Yield ``(i, table[:-2**i], table[2**i:])`` for each point ``i`` below ``stop``.
 
     The two views are ``lo`` and ``hi``: position ``p`` pairs ``table[p]``
     with ``table[p + 2**i]``.  Where bit ``i`` of ``p`` is clear that is the
@@ -405,48 +412,59 @@ def _shifted_pairs(table: np.ndarray, start: int, stop: int):
     Both views are contiguous, so a ufunc over them runs one inner loop over
     the whole table instead of rows only ``2**i`` long.
     """
-    for i in range(start, stop):
+    for i in range(stop):
         yield i, table[: -(1 << i)], table[1 << i :]
 
 
-def _walk(table: np.ndarray, points: int, buffer: np.ndarray) -> int:
+def _walk(table: np.ndarray, points: int) -> int:
     """Compare ``lo <= hi`` for every point below ``points`` over ``table`` in blocks; return the first pass that fails.
 
-    ``buffer`` is a bool array of ``table.size // 2`` entries.  A pass fails
-    unless every entry it compares is true; the walk returns the first that
-    fails, or ``points``.
+    A pass fails unless every pair it compares holds; the walk returns the
+    first that fails, or ``points``.
 
     A pass below ``low = min(points, _BLOCK_POINTS)`` pairs masks inside one
     aligned block of ``2**low`` entries, so ``_in_blocks`` gives each block
     all of those passes while it stays in cache; only the later passes stream
-    the table.  On two threads each side compares into its own half of
-    ``buffer``, else into all of it, and where that holds a whole block the
-    passes below ``_SHIFTED_POINTS`` are shifted comparisons.
+    the table, into a buffer made here.  Each block compares into a bool
+    scratch it allocates itself, one block long.  Its passes below
+    ``_SHIFTED_POINTS`` are shifted comparisons, ``_shifted_pairs``: every
+    position is compared, and the positions that are not a lattice pair,
+    which row ``i`` of ``off_lattice`` marks over one period, are then set
+    true, so the pass fails exactly where its lattice pairs do.  The last
+    ``2**i`` positions, which the comparison does not reach, all have bit
+    ``i`` set.  Its later passes are lattice passes.
 
-    Each side keeps the smallest failing pass it has found in its own slot
-    of ``firsts``, and a block compares only the passes below the smaller
-    slot.  A slot never grows and holds only ``low`` or a pass that fails, so
-    the smaller slot is the first failing pass over the table.  One shared
-    ``first = min(first, found)`` would not be: the sides could interleave
-    its read and write, and a larger pass overwrite a smaller one.
+    Block ``k`` alone writes ``fails[k]``: the first pass it finds failing,
+    else the bound it compared up to, ``min(fails)`` when it started.  Every
+    slot holds ``low`` or a pass that fails, and the block with the first
+    failing pass compares up to it unless a slot already holds it, so
+    ``min(fails)`` after the join is the first failing pass over the table.
     """
     low = min(points, _BLOCK_POINTS)
     blocks = table.reshape(-1, 1 << low)
-    sides = buffer.reshape(2 if _splits(blocks) else 1, -1)
-    off_lattice = None
-    if sides.shape[1] >= blocks.shape[1]:  # shifted passes need a whole block's room, so low is _BLOCK_POINTS
-        # off_lattice[i, p] marks the positions p whose bit i is set, over one period of every shifted pass; made
-        # only here, since its temporaries grew the peak RSS of processes that never build a table past one block
-        shifted = min(_SHIFTED_POINTS, low)
-        off_lattice = (np.arange(1 << shifted) >> np.arange(shifted)[:, None] & 1).astype(bool)
-    firsts = [low, low]
+    shifted = min(_SHIFTED_POINTS, low)
+    # row i marks the positions p whose bit i is set, over one period of every shifted pass; filled row by row,
+    # since the int64 temporaries of an arange form raised the peak RSS of processes that build small tables only
+    off_lattice = np.zeros((shifted, 1 << shifted), dtype=bool)
+    for i in range(shifted):
+        off_lattice[i].reshape(-1, 2, 1 << i)[:, 1] = True
+    fails = [low] * len(blocks)
 
-    def walk_block(block: np.ndarray, side: int) -> None:
-        firsts[side] = _passes(block, 0, min(firsts), sides[side], split=False, off_lattice=off_lattice)
+    def walk_block(k: int) -> None:
+        block, stop = blocks[k], min(fails)
+        out = np.empty(block.size, dtype=bool)
+        periods = out.reshape(-1, off_lattice.shape[1])
+        for i, lo, hi in _shifted_pairs(block, min(stop, shifted)):
+            np.less_equal(lo, hi, out=out[: lo.size])
+            np.logical_or(periods, off_lattice[i], out=periods)
+            if not out.all():
+                fails[k] = i
+                return
+        fails[k] = _passes(block, shifted, stop, out)
 
     _in_blocks(blocks, walk_block)
-    first = min(firsts)
-    return first if first < low else _passes(table, low, points, buffer, split=True)
+    first = min(fails)
+    return first if first < low else _passes(table, low, points, np.empty(table.size // 2, dtype=bool))
 
 
 def _envelope(table: np.ndarray, points: int, draw) -> None:
@@ -458,49 +476,27 @@ def _envelope(table: np.ndarray, points: int, draw) -> None:
     whole draw and whole-table passes.
     """
     low = min(points, _BLOCK_POINTS)
-    _in_blocks(table.reshape(-1, 1 << low), lambda block, side: _passes(block, 0, low, None, split=False), draw)
-    _passes(table, low, points, None, split=True)
+    blocks = table.reshape(-1, 1 << low)
+    _in_blocks(blocks, lambda k: _passes(blocks[k], 0, low), draw)
+    _passes(table, low, points)
 
 
-def _passes(
-    table: np.ndarray,
-    start: int,
-    stop: int,
-    buffer: np.ndarray | None,
-    split: bool,
-    off_lattice: np.ndarray | None = None,
-) -> int:
-    """Run the lattice passes ``start .. stop-1`` over ``table``, each in halves if ``split``; return the first to fail.
+def _passes(table: np.ndarray, start: int, stop: int, buffer: np.ndarray | None = None) -> int:
+    """Run the lattice passes ``start .. stop-1`` over ``table``, each through ``_in_halves``; return the first to fail.
 
     Without ``buffer`` each pass writes ``np.maximum(hi, lo)`` into ``hi`` in
-    place (an envelope pass) and none fails.  With ``buffer``, a bool array,
-    each pass writes ``lo <= hi`` into it and fails unless every entry is
-    true; the return is the first pass that fails, or ``stop``.
-
-    With ``off_lattice`` (a block of the accepting sweep, and a ``buffer`` at
-    least as large), each pass ``i`` below its row count is one shifted
-    comparison, ``_shifted_pairs``: every position is compared, and the
-    positions that are not a lattice pair, which row ``i`` marks over one
-    period, are then set true, so the pass fails exactly where its lattice
-    pairs do.  The last ``2**i`` positions, which the comparison does not
-    reach, all have bit ``i`` set.
+    place (an envelope pass) and none fails.  With ``buffer``, a bool array
+    of at least ``table.size // 2`` entries, each pass writes ``lo <= hi``
+    into it and fails unless every entry is true; the return is the first
+    pass that fails, or ``stop``.  The views of a block are below
+    ``_SPLIT_ENTRIES``, so its passes run whole on the thread that runs it.
     """
-    if off_lattice is not None:
-        out = buffer[: table.size]
-        periods = out.reshape(-1, off_lattice.shape[1])
-        for i, lo, hi in _shifted_pairs(table, start, min(stop, len(off_lattice))):
-            np.less_equal(lo, hi, out=out[: lo.size])
-            np.logical_or(periods, off_lattice[i], out=periods)
-            if not out.all():
-                return i
-        start = max(start, min(stop, len(off_lattice)))
-    run = _in_halves if split else lambda fn, *views: fn(*views)
     for i, lo, hi, order in _lattice_pairs(table, stop, start):
         if buffer is None:
-            run(lambda lo, hi: np.maximum(hi, lo, out=hi, order=order), lo, hi)
+            _in_halves(lambda lo, hi: np.maximum(hi, lo, out=hi, order=order), lo, hi)
         else:
             out = buffer[: lo.size].reshape(lo.shape)
-            run(lambda lo, hi, out: np.less_equal(lo, hi, out=out, order=order), lo, hi, out)
+            _in_halves(lambda lo, hi, out: np.less_equal(lo, hi, out=out, order=order), lo, hi, out)
             if not out.all():
                 return i
     return stop

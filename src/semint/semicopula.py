@@ -117,8 +117,15 @@ class Semicopula:
         return cls.from_grid([[fn(a, b) for b in axis] for a in axis])
 
     def evaluate(self, a, b):
-        """S(a, b) for numbers (a numpy float64) or equally-shaped arrays; builtins keep S(a,1)=a, S(1,b)=b exact."""
+        """S(a, b) for numbers (a numpy float64) or arrays of shapes that broadcast, else a ``DomainError``.
+
+        Builtins keep S(a,1)=a and S(1,b)=b exact.
+        """
         a, b = _float_array(a, "semicopula arguments"), _float_array(b, "semicopula arguments")
+        try:
+            np.broadcast_shapes(a.shape, b.shape)
+        except ValueError:
+            raise DomainError(f"semicopula arguments of shapes {a.shape} and {b.shape} do not broadcast") from None
         if np.any(~((a >= 0.0) & (a <= 1.0))) or np.any(~((b >= 0.0) & (b <= 1.0))):
             raise DomainError("arguments outside [0,1]^2")
         return self._evaluate_array(a, b)

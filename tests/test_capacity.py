@@ -947,8 +947,8 @@ def test_the_diagnosis_starts_at_the_first_failing_pass(monkeypatch, split, last
             compared.append((i, lo.size))
             yield i, lo, hi, order
 
-    def counted_shifted(table, start, stop):
-        for i, lo, hi in shifted(table, start, stop):
+    def counted_shifted(table, stop):
+        for i, lo, hi in shifted(table, stop):
             compared.append((i, table.size // 2))  # the lattice pairs among the positions it compares
             yield i, lo, hi
 
@@ -965,7 +965,7 @@ def test_the_diagnosis_starts_at_the_first_failing_pass(monkeypatch, split, last
     assert pairs[block:] == [half] * (n - block)  # the streaming passes: the diagnosis alone
     if split:
         # the two threads take the blocks from one queue, so which blocks compare a pass from 3 on depends on
-        # when the failing block's side records pass 3; that block compares pass 3 and no later pass
+        # when the failing block records pass 3; that block compares pass 3 and no later pass
         assert half + (1 << block - 1) <= pairs[3] <= 2 * half
         assert all(half <= count < 2 * half for count in pairs[4:block])
     elif last:
@@ -992,12 +992,13 @@ def drops_at_passes_5_and_3(n: int, block: int, k: int) -> tuple[np.ndarray, lis
     return table, want
 
 
-def test_the_first_failing_pass_is_the_smaller_of_the_two_sides(monkeypatch):
-    """One side finds pass 5 in block 0 while the other finds pass 3 in block 3; the walk returns 3.
+def test_the_first_failing_pass_is_the_smallest_over_the_blocks(monkeypatch):
+    """One thread finds pass 5 in block 0 while the other finds pass 3 in block 3; the walk returns 3.
 
-    The side that takes block 0 waits, inside its block's passes, until the other side has found pass 3, then
-    records pass 5.  A walk that kept one shared first pass and wrote ``min`` of a value read before the wait
-    would lose pass 3, and the diagnosis would start at pass 5.
+    The thread that takes block 0 waits, inside its block's passes, until the other thread has found pass 3,
+    then records pass 5.  A walk that kept one shared first pass and wrote ``min`` of a value read before the
+    wait would lose pass 3, and the diagnosis would start at pass 5.  Passes 3 and 5 are lattice passes of
+    their blocks here, the ones ``_passes`` runs, and passes 0-2 shifted comparisons.
     """
     n, block = 12, 8
     space = FiniteSpace(n)
@@ -1006,21 +1007,68 @@ def test_the_first_failing_pass_is_the_smaller_of_the_two_sides(monkeypatch):
     real, found = capacity_module._passes, threading.Event()
     first_block = table[: 1 << block]
 
-    def passes(part, start, stop, buffer, split, off_lattice=None):
+    def passes(part, start, stop, buffer=None):
         if part.size == first_block.size and np.may_share_memory(part, first_block):
-            assert found.wait(60), "the other side never found pass 3"
-        first = real(part, start, stop, buffer, split, off_lattice)
+            assert found.wait(60), "the other thread never found pass 3"
+        first = real(part, start, stop, buffer)
         if first == 3:
             found.set()
         return first
 
     split_everywhere(monkeypatch)
     monkeypatch.setattr(capacity_module, "_BLOCK_POINTS", block)
+    monkeypatch.setattr(capacity_module, "_SHIFTED_POINTS", 3)
     monkeypatch.setattr(capacity_module, "_passes", passes)
-    buffer = np.empty(table.size // 2, dtype=bool)
-    assert within(120, lambda: capacity_module._walk(table, n, buffer)) == 3
+    assert within(120, lambda: capacity_module._walk(table, n)) == 3
     found.clear()
     assert [(v.kind, v.mask, v.element) for v in within(120, lambda: validate_table(space, table))] == want
+
+
+def test_two_blocks_in_flight_never_share_scratch(monkeypatch):
+    """Blocks 0 and 1 of the sweep, one on each thread, wait for each other in their passes; their bool scratch
+    must not overlap, or one block's comparisons could overwrite the other's before it reads them."""
+    n, block = 12, 8
+    table = random_capacity(FiniteSpace(n), np.random.default_rng(12)).table
+    first_two = table[: 2 << block]
+    real, both = capacity_module._passes, threading.Barrier(2)
+    scratch = []
+
+    def passes(part, start, stop, buffer=None):
+        if part.size == 1 << block and np.may_share_memory(part, first_two):
+            scratch.append(buffer)
+            both.wait(60)  # the queue's first two items: while one waits here, the other thread takes the next
+        return real(part, start, stop, buffer)
+
+    split_everywhere(monkeypatch)
+    monkeypatch.setattr(capacity_module, "_BLOCK_POINTS", block)
+    monkeypatch.setattr(capacity_module, "_passes", passes)
+    assert within(120, lambda: capacity_module._walk(table, n)) == n
+    assert len(scratch) == 2 and not np.shares_memory(*scratch)
+
+
+@pytest.mark.parametrize("n", [4, 12, 17])
+def test_the_sweep_shifts_the_low_passes_at_every_table_size(monkeypatch, n):
+    space = FiniteSpace(n)
+    table = random_capacity(space, np.random.default_rng(n)).table
+    assert n <= capacity_module._BLOCK_POINTS  # one block: each pass runs once
+    compared = []
+    lattice, shifted = capacity_module._lattice_pairs, capacity_module._shifted_pairs
+
+    def counted(table, points, start=0):
+        for i, lo, hi, order in lattice(table, points, start):
+            compared.append(("lattice", i))
+            yield i, lo, hi, order
+
+    def counted_shifted(table, stop):
+        for i, lo, hi in shifted(table, stop):
+            compared.append(("shifted", i))
+            yield i, lo, hi
+
+    monkeypatch.setattr(capacity_module, "_lattice_pairs", counted)
+    monkeypatch.setattr(capacity_module, "_shifted_pairs", counted_shifted)
+    assert validate_table(space, table) == []
+    low = min(capacity_module._SHIFTED_POINTS, n)
+    assert compared == [("shifted", i) for i in range(low)] + [("lattice", i) for i in range(low, n)]
 
 
 def test_small_tables_and_one_cpu_start_no_thread(monkeypatch):
@@ -1064,9 +1112,9 @@ def test_the_scheduler_works_every_index_once(count, produced):
     threads = threading.active_count()
     made, worked = [], []  # list.append is atomic, so both threads may add
 
-    def work(k, side):
+    def work(k):
         assert not produced or k < len(made)  # an index is queued only once it is produced
-        worked.append((k, side))
+        worked.append((k, threading.get_ident()))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
@@ -1074,26 +1122,31 @@ def test_the_scheduler_works_every_index_once(count, produced):
         within(60, lambda: capacity_module._on_two_threads(count, work, made.append if produced else None))
     finally:
         sys.setswitchinterval(interval)
-    assert sorted(k for k, side in worked) == list(range(count))
-    assert {side for k, side in worked} <= {0, 1}
+    assert sorted(k for k, thread in worked) == list(range(count))
+    assert len({thread for k, thread in worked}) <= 2  # the calling thread and one helper
     assert made == (list(range(count)) if produced else [])
     assert threading.active_count() == threads
 
 
-@pytest.mark.parametrize("failing", [0, 1], ids=["caller", "helper"])
+@pytest.mark.parametrize("failing", ["caller", "helper"])
 def test_an_exception_on_either_side_is_raised_after_the_other_side_worked_the_rest(failing):
     threads = threading.active_count()
-    raised, worked = threading.Event(), []
+    raised, worked, callers = threading.Event(), [], set()
 
-    def work(k, side):
-        if side == failing:  # the failing side's first index raises, and the other side waits for it
+    def work(k):
+        thread = "caller" if threading.get_ident() in callers else "helper"
+        if thread == failing:  # the failing thread's first index raises, and the other thread waits for it
             raised.set()
-            raise ValueError(f"side {side} at {k}")
+            raise ValueError(f"{thread} at {k}")
         assert raised.wait(60)
         worked.append(k)
 
-    with pytest.raises(ValueError, match=f"side {failing} at") as err:
-        within(60, lambda: capacity_module._on_two_threads(8, work))
+    def call():
+        callers.add(threading.get_ident())
+        capacity_module._on_two_threads(8, work)
+
+    with pytest.raises(ValueError, match=f"^{failing} at") as err:
+        within(60, call)
     assert sorted(worked + [int(str(err.value).rsplit(" ", 1)[1])]) == list(range(8))
     assert threading.active_count() == threads
 
@@ -1108,7 +1161,7 @@ def test_a_failed_produce_queues_nothing_from_its_index_on_and_releases_the_help
             raise ValueError(f"produce {k}")
 
     with pytest.raises(ValueError, match=f"produce {failing}"):
-        within(60, lambda: capacity_module._on_two_threads(8, lambda k, side: worked.append(k), produce))
+        within(60, lambda: capacity_module._on_two_threads(8, worked.append, produce))
     assert sorted(worked) == list(range(failing))  # the helper worked what was queued, and stopped
     assert threading.active_count() == threads
 
@@ -1205,15 +1258,15 @@ def test_a_failed_block_pass_reaches_the_caller_from_either_thread(monkeypatch, 
     callers = set()
     entered = {"caller": threading.Event(), "envelope": threading.Event()}
 
-    def passes(table, start, stop, buffer, split):
-        if not split:  # one block's passes
+    def passes(table, start, stop, buffer=None):
+        if table.size == 1 << 6:  # one block's passes
             thread = "caller" if threading.get_ident() in callers else "envelope"
             # both threads drain one queue, so each waits in its first block until the other has taken one
             entered[thread].set()
             assert entered["envelope" if thread == "caller" else "caller"].wait(60), "one thread took every block"
             if thread == failing_thread:
                 raise ValueError(f"block pass on the {thread} thread")
-        return real(table, start, stop, buffer, split)
+        return real(table, start, stop, buffer)
 
     def call():
         callers.add(threading.get_ident())

@@ -5,7 +5,9 @@ queue (``threading.Thread``, ``threading.Condition``, ``threading.Lock`` and
 the other ``threading`` primitives, anything from ``queue`` or
 ``concurrent.futures``) only inside that function.  A second scheduler
 would bring a second copy of the thread start, the join and the hand-off of
-the helper's exception.
+the helper's exception.  The names that tell a thread apart
+(``threading.get_ident``, ``threading.local`` and the like) are held to the
+same place, so no work item can depend on which thread runs it.
 """
 
 import ast
@@ -17,11 +19,13 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "semint"
 MODULES = sorted(PACKAGE.glob("*.py"))
 SCHEDULER = "_on_two_threads"
 PRIMITIVES = {"Thread", "Timer", "Condition", "Lock", "RLock", "Event", "Semaphore", "BoundedSemaphore", "Barrier"}
+IDENTITIES = {"local", "get_ident", "get_native_id", "current_thread", "main_thread"}
 MODULES_OF_THREADS = {"threading", "queue", "concurrent.futures"}
 
 
 def thread_plumbing(tree: ast.Module) -> list[tuple[str, int]]:
-    """Each use of a thread, a lock or a queue, with the functions around it ("" at module level) and its line."""
+    """Each use of a thread, a lock, a queue or a thread's identity, with the functions around it ("" at module
+    level) and its line."""
     out = []
 
     def visit(node: ast.AST, functions: tuple[str, ...]) -> None:
@@ -31,7 +35,7 @@ def thread_plumbing(tree: ast.Module) -> list[tuple[str, int]]:
                 continue
             if isinstance(child, ast.Attribute):
                 owner = ast.unparse(child.value)
-                found = owner in MODULES_OF_THREADS and (owner != "threading" or child.attr in PRIMITIVES)
+                found = owner in MODULES_OF_THREADS and (owner != "threading" or child.attr in PRIMITIVES | IDENTITIES)
             else:
                 found = isinstance(child, ast.ImportFrom) and child.module in MODULES_OF_THREADS
             if found:
@@ -65,8 +69,11 @@ def test_plumbing_outside_the_scheduler_is_found():
         "    threading.Thread(target=helper).start()\n"
         "def _drawn_blocks(blocks):\n"
         "    ready = threading.Condition()\n"
-        "    threading.get_ident()\n"
+        "    threading.active_count()\n"
         "    return concurrent.futures.ThreadPoolExecutor(2)\n"
+        "def _walk(table, points):\n"
+        "    firsts = {threading.get_ident(): points}\n"
+        "    scratch = threading.local()\n"
     )
     assert thread_plumbing(tree) == [
         ("", 2),
@@ -75,4 +82,6 @@ def test_plumbing_outside_the_scheduler_is_found():
         ("_on_two_threads", 7),
         ("_drawn_blocks", 9),
         ("_drawn_blocks", 11),
+        ("_walk", 13),
+        ("_walk", 14),
     ]

@@ -95,6 +95,14 @@ def test_evaluate_names_arguments_that_are_not_an_array_of_numbers(bad):
             assert str(err.value) == "semicopula arguments must be a regular array of numbers"
 
 
+@pytest.mark.parametrize("a, b", [((2,), (3,)), ((2, 3), (2,)), ((4, 1), (3, 2))])
+def test_evaluate_names_both_shapes_that_do_not_broadcast(a, b):
+    for s in BUILTINS + (Semicopula.from_grid([[0.0, 0.0], [0.0, 1.0]]),):
+        with pytest.raises(DomainError) as err:
+            s.evaluate(np.full(a, 0.5), np.full(b, 0.5))
+        assert str(err.value) == f"semicopula arguments of shapes {a} and {b} do not broadcast"
+
+
 SCALAR_SPECIALS = (0.0, -0.0, 5e-324, math.nextafter(1.0, 0.0), 1.0)
 
 
